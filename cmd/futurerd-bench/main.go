@@ -6,7 +6,7 @@
 //
 //	futurerd-bench [-table fig6|fig7|fig8|vc|sample|replay|all] [-iters n]
 //	               [-size test|quick|bench] [-validate] [-json]
-//	               [-workers n] [-traces dir]
+//	               [-workers n] [-traces dir] [-cpuprofile file]
 //
 // By default times are printed as aligned tables, in seconds, with
 // overheads relative to the baseline configuration; see EXPERIMENTS.md
@@ -17,6 +17,8 @@
 // commits:
 //
 //	futurerd-bench -table fig6 -json > BENCH_fig6.json
+//
+// -cpuprofile writes a CPU profile of the whole run, for go tool pprof.
 package main
 
 import (
@@ -38,6 +40,7 @@ func main() {
 	workers := flag.Int("workers", 0, "shadow range worker pool width for the detecting configs (<=1 serial)")
 	consumers := flag.Int("consumers", 0, "detection consumer pool width for the detecting configs (<=1 single consumer)")
 	traces := flag.String("traces", "traces", "directory of the committed trace corpus (replay table)")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.Parse()
 
 	var sz workloads.SizeClass
@@ -68,6 +71,11 @@ func main() {
 			return bench.FigReplay(o, *traces)
 		}},
 	}
+	stopProfile, err := bench.StartCPUProfile(*cpuprofile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+		os.Exit(1)
+	}
 	out := bench.JSONReport{Size: *size, Iters: opts.Iters, Workers: opts.Workers, Consumers: opts.Consumers}
 	ran := false
 	for _, g := range gens {
@@ -97,5 +105,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "encode: %v\n", err)
 			os.Exit(1)
 		}
+	}
+	if err := stopProfile(); err != nil {
+		fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+		os.Exit(1)
 	}
 }

@@ -11,6 +11,9 @@
 //	                      [-consumers n] [-recover]
 //	futurerd-trace stat   -i trace.bin
 //
+// Every subcommand also takes -cpuprofile file, which writes a CPU
+// profile of the subcommand for go tool pprof.
+//
 // run executes one benchmark under a chosen detection algorithm and
 // prints the execution's structural statistics: strands, function
 // instances, parallel constructs, reachability data-structure traffic
@@ -37,6 +40,7 @@ import (
 	"strings"
 
 	"futurerd"
+	"futurerd/internal/bench"
 	"futurerd/internal/trace"
 	"futurerd/internal/workloads"
 )
@@ -44,6 +48,22 @@ import (
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
+}
+
+// parseWithProfile registers -cpuprofile on fs, parses args and starts
+// the profile it names; the subcommand defers the returned stop.
+func parseWithProfile(fs *flag.FlagSet, args []string) (stop func()) {
+	path := fs.String("cpuprofile", "", "write a CPU profile of the subcommand to this file")
+	fs.Parse(args)
+	stopProfile, err := bench.StartCPUProfile(*path)
+	if err != nil {
+		fail(fmt.Errorf("cpuprofile: %w", err))
+	}
+	return func() {
+		if err := stopProfile(); err != nil {
+			fail(fmt.Errorf("cpuprofile: %w", err))
+		}
+	}
 }
 
 func parseSize(fs *flag.FlagSet) *string {
@@ -186,7 +206,7 @@ func cmdRun(args []string) {
 	workers := fs.Int("workers", 0, "shadow range worker pool width (<=1 serial)")
 	consumers := fs.Int("consumers", 0, "detection consumer pool width (<=1 single consumer)")
 	dot := fs.Bool("dot", false, "dump the computation dag as Graphviz (oracle mode)")
-	fs.Parse(args)
+	defer parseWithProfile(fs, args)()
 
 	mk := lookup(*benchName, *variant, sizeClass(*size))
 	m, ml := parseMode(*mode), parseMem(*mem)
@@ -220,7 +240,7 @@ func cmdRecord(args []string) {
 	size := parseSize(fs)
 	format := fs.String("format", "v2", "trace format: v2, v1 (legacy, for migration tooling)")
 	out := fs.String("o", "", "output trace file (required)")
-	fs.Parse(args)
+	defer parseWithProfile(fs, args)()
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "record: -o is required")
 		os.Exit(2)
@@ -259,7 +279,7 @@ func cmdReplay(args []string) {
 	consumers := fs.Int("consumers", 0, "detection consumer pool width (<=1 single consumer)")
 	recover := fs.Bool("recover", false,
 		"replay the longest well-formed prefix of a damaged trace instead of failing")
-	fs.Parse(args)
+	defer parseWithProfile(fs, args)()
 	if *in == "" {
 		fmt.Fprintln(os.Stderr, "replay: -i is required")
 		os.Exit(2)
@@ -295,7 +315,7 @@ func cmdReplay(args []string) {
 func cmdStat(args []string) {
 	fs := flag.NewFlagSet("stat", flag.ExitOnError)
 	in := fs.String("i", "", "input trace file (required)")
-	fs.Parse(args)
+	defer parseWithProfile(fs, args)()
 	if *in == "" {
 		fmt.Fprintln(os.Stderr, "stat: -i is required")
 		os.Exit(2)

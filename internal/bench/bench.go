@@ -262,15 +262,16 @@ func epochPct(rep *futurerd.Report) string {
 
 // footprint renders the resident shadow-memory footprint of the full
 // run: every touched shadow page holds a word record per application
-// word, plus one spill entry per reader held beyond the inline slot on
-// inflated words.
+// word, plus one spilled reader entry per reader an inflated word holds
+// beyond its first. It counts live entries, not the reader arena's
+// capacity, which slot reuse keeps warm across deflations.
 func footprint(rep *futurerd.Report) string {
 	if rep == nil {
 		return "-"
 	}
 	sh := rep.Stats.Shadow
 	b := sh.TouchedPages*(1<<shadow.PageBits)*shadow.WordBytes +
-		sh.SpillEntries*4 // spill entries are bare 4-byte strand ids
+		sh.SpillEntries*4 // spilled readers are bare 4-byte strand ids
 	return fmt.Sprintf("%.1fMB", float64(b)/(1<<20))
 }
 
@@ -364,7 +365,8 @@ func figure(opts Options, name, title string, mode futurerd.Mode, pick func(work
 		"consumer back-end can check concurrently); ovlp/stolen = windows published",
 		"over an in-flight predecessor and chunks checked by a non-primary consumer",
 		"(scheduling outcomes: zero for serial runs, timing-dependent with a pool);",
-		"shadow = resident shadow footprint (touched pages at 12 B/word + spill entries)")
+		"shadow = resident shadow footprint (touched pages at 12 B/word + spilled reader",
+		"entries; live entries, not reader-arena capacity)")
 	return t, ms, nil
 }
 

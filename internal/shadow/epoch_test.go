@@ -154,7 +154,7 @@ func TestEpochTransferParallelPath(t *testing.T) {
 }
 
 // TestEpochInflateDeflate pins the read-state machine's transitions and
-// counters: a second distinct reader inflates (spill entered), a write
+// counters: a second distinct reader inflates (arena slot taken), a write
 // install deflates, and the next single reader re-enters the inline state
 // with no residual spill entries.
 func TestEpochInflateDeflate(t *testing.T) {

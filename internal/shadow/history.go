@@ -33,10 +33,11 @@
 //     stamp stays valid *across* construct generations — it dies only at
 //     the next write install (flushReaders), never at a spawn or join.
 //     The word's read state is a two-state machine: *single-reader* (the
-//     inline reader0 slot plus the stamp) inflating to *inflated* (the
-//     spill list, entered only on genuine read contention — a second
-//     distinct reader between writes) and deflating back on the next
-//     write-then-read cycle. The stamp is consulted twice:
+//     inline reader0 slot plus the stamp) inflating to *inflated* (a
+//     reader list in the History's slot arena, entered only on genuine
+//     read contention — a second distinct reader between writes) and
+//     deflating back on the next write install, which returns the slot to
+//     the arena's free list. The stamp is consulted twice:
 //
 //     1. A strand re-reading a word it was the last to read skips the
 //     protocol outright. The engine only keeps a strand current across a
@@ -113,8 +114,8 @@ const maxDirs = 1 << 20
 // allocates in a noscan span, so the garbage collector never walks shadow
 // memory, and first-touch zeroing clears 48KB instead of a pointer-scanned
 // multiple. The uncommon case of several distinct readers between two
-// writes spills to History.spill (the inflated state), flagged by
-// spillFlag in reader0.
+// writes spills to a slot of History.arena (the inflated state): reader0
+// then holds spillFlag | slot instead of a strand.
 //
 // The stamp invariant: lastReader is non-zero only if it completed a
 // race-free read of this word — meaning the word's writer at that moment
@@ -136,8 +137,9 @@ const WordBytes = 12
 
 var _ [1]struct{} = [unsafe.Sizeof(word{}) - WordBytes + 1]struct{}{}
 
-// spillFlag marks a word whose reader list continues in History.spill.
-// It occupies the top bit of reader0, which caps strand ids at 2^31-1 —
+// spillFlag marks an inflated word: its reader0 is spillFlag | slot, and
+// History.arena[slot] holds its whole reader list. The flag occupies the
+// top bit of reader0, which caps strand ids (and arena slots) at 2^31-1 —
 // unreachable in practice (the engine allocates a few strands per parallel
 // construct and would exhaust memory long before).
 const spillFlag core.StrandID = 1 << 31
@@ -178,13 +180,16 @@ type History struct {
 
 	overflow map[uint64]*page // pages beyond maxDirs directories
 
-	// spill holds the second-and-later distinct readers of words whose
-	// reader list outgrew the inline slot, keyed by address. Entries keep
-	// their capacity across flushes so a hot word does not reallocate.
-	spill map[uint64][]core.StrandID
+	// arena holds the reader lists of inflated words, addressed by the
+	// slot index in their reader0: the former inline reader first, then
+	// the spilled readers in arrival order. A write install truncates the
+	// slot and pushes it on free, so its capacity serves whichever word
+	// inflates next and a hot read-shared vector does not reallocate.
+	arena [][]core.StrandID
+	free  []uint32
 
-	// spillMu guards spill on the parallel range path; the serial path
-	// accesses the map directly (the worker pool is quiescent then).
+	// spillMu guards arena and free on the parallel range path; the
+	// serial path uses them directly (the worker pool is quiescent then).
 	spillMu sync.Mutex
 
 	// foldMu serializes multi-consumer counter folds (View.Fold); the
@@ -237,7 +242,7 @@ type History struct {
 	readSharedSkips uint64
 	memoHits        uint64
 	epochHits       uint64 // reads resolved by stamp verdict transfer
-	epochInflations uint64 // single-reader → inflated (first spill) transitions
+	epochInflations uint64 // single-reader → inflated (arena slot taken) transitions
 	epochDeflations uint64 // inflated → flushed (write install) transitions
 	parRanges       uint64 // range ops that actually fanned out
 	parChunks       uint64 // chunks processed across all fan-outs
@@ -401,55 +406,88 @@ func (h *History) Read(addr uint64, s core.StrandID, precedes func(u core.Strand
 	}
 	// Append s to the reader list, deduplicating the common case of the
 	// same strand re-reading the location between writes.
-	h.appendReader(w, addr, s)
+	h.appendReader(w, s)
 	return Racer{}, false
 }
 
-func (h *History) appendReader(w *word, addr uint64, s core.StrandID) {
+func (h *History) appendReader(w *word, s core.StrandID) {
 	switch {
 	case w.reader0 == core.NoStrand:
 		w.reader0 = s
 		h.readerAppends++
-	case w.reader0&^spillFlag == s:
+	case w.reader0 == s:
 	default:
-		h.appendSpill(w, addr, s)
+		h.appendSpill(w, s)
 	}
 }
 
-// appendSpill records a second or later distinct reader of w's address —
-// the read-epoch state machine's inflation: genuine read contention grows
-// the single inline slot into the full spill list. The most recent spilled
-// reader deduplicates repeats, bounding growth by the number of reader
-// alternations, as in the inline slot.
-func (h *History) appendSpill(w *word, addr uint64, s core.StrandID) {
-	if w.reader0&spillFlag != 0 {
-		if more := h.spill[addr]; more[len(more)-1] == s {
-			return // same strand re-reading; already recorded
-		}
-	} else {
-		w.reader0 |= spillFlag
+// appendSpill records a distinct reader of w beyond its inline one; see
+// spillReader.
+func (h *History) appendSpill(w *word, s core.StrandID) {
+	appended, inflated := h.spillReader(w, s)
+	if appended {
+		h.readerAppends++
+	}
+	if inflated {
 		h.epochInflations++
 	}
-	if h.spill == nil {
-		h.spill = make(map[uint64][]core.StrandID)
+}
+
+// spillReader records s as a reader of w when w already has a different
+// inline reader or is inflated — the read-epoch state machine's
+// inflation: genuine read contention moves the inline reader into an
+// arena slot (reused from the free list when one is free) followed by s,
+// and reader0 becomes spillFlag | slot. On an inflated word the first and
+// the most recent reader deduplicate repeats, exactly as the inline slot
+// and the previous tail did before inflation, bounding growth by the
+// number of reader alternations. It reports whether s was appended and
+// whether w inflated; the caller owns the counters (and, on the shared
+// paths, holds spillMu).
+func (h *History) spillReader(w *word, s core.StrandID) (appended, inflated bool) {
+	if w.reader0&spillFlag != 0 {
+		slot := w.reader0 &^ spillFlag
+		rs := h.arena[slot]
+		if rs[0] == s || rs[len(rs)-1] == s {
+			return false, false // same strand re-reading; already recorded
+		}
+		h.arena[slot] = append(rs, s)
+		return true, false
 	}
-	h.spill[addr] = append(h.spill[addr], s)
-	h.readerAppends++
+	var slot uint32
+	if n := len(h.free); n > 0 {
+		slot = h.free[n-1]
+		h.free = h.free[:n-1]
+	} else {
+		slot = uint32(len(h.arena))
+		h.arena = append(h.arena, nil)
+	}
+	h.arena[slot] = append(h.arena[slot], w.reader0, s)
+	w.reader0 = spillFlag | core.StrandID(slot)
+	return true, true
+}
+
+// deflate releases the arena slot of an inflated word: the slot keeps its
+// capacity and goes on the free list for the next inflation. The caller
+// clears reader0 (and, on the shared paths, holds spillMu).
+func (h *History) deflate(w *word) {
+	slot := uint32(w.reader0 &^ spillFlag)
+	h.arena[slot] = h.arena[slot][:0]
+	h.free = append(h.free, slot)
 }
 
 // flushReaders empties the reader list of w after a write install, along
 // with the read-epoch stamp (which must not survive a write: its verdict
 // was proven against the previous writer). An inflated word deflates here
-// — the next race-free read re-enters the single-reader state — with the
-// spill entry keeping its capacity for the next inflation on this word. A
-// word with no readers has no stamp either — a race-free read always
-// records its reader — so the early return cannot strand a stale stamp.
-func (h *History) flushReaders(w *word, addr uint64) {
+// — the next race-free read re-enters the single-reader state — and its
+// arena slot returns to the free list. A word with no readers has no
+// stamp either — a race-free read always records its reader — so the
+// early return cannot strand a stale stamp.
+func (h *History) flushReaders(w *word) {
 	if w.reader0 == core.NoStrand {
 		return
 	}
 	if w.reader0&spillFlag != 0 {
-		h.spill[addr] = h.spill[addr][:0]
+		h.deflate(w)
 		h.epochDeflations++
 	}
 	w.reader0 = core.NoStrand
@@ -476,30 +514,41 @@ func (h *History) Write(addr uint64, s core.StrandID, precedes func(u core.Stran
 	h.writes++
 	w := h.wordFor(addr)
 	if prev := w.lastWriter; prev != core.NoStrand && prev != s && !precedes(prev) {
-		h.installWriter(w, addr, s)
+		h.installWriter(w, s)
 		return Racer{Prev: prev, PrevWrite: true}, true
 	}
-	if r0 := w.reader0 &^ spillFlag; r0 != core.NoStrand && r0 != s && !precedes(r0) {
-		h.installWriter(w, addr, s)
+	r0, more := h.readers(w)
+	if r0 != core.NoStrand && r0 != s && !precedes(r0) {
+		h.installWriter(w, s)
 		return Racer{Prev: r0, PrevWrite: false}, true
 	}
-	if w.reader0&spillFlag != 0 {
-		for _, r := range h.spill[addr] {
-			if r != s && !precedes(r) {
-				h.installWriter(w, addr, s)
-				return Racer{Prev: r, PrevWrite: false}, true
-			}
+	for _, r := range more {
+		if r != s && !precedes(r) {
+			h.installWriter(w, s)
+			return Racer{Prev: r, PrevWrite: false}, true
 		}
 	}
-	h.installWriter(w, addr, s)
+	h.installWriter(w, s)
 	return Racer{}, false
+}
+
+// readers returns w's reader list in check order: the first reader (the
+// inline one, NoStrand if none) and the spilled readers after it, read
+// straight from the arena slot of an inflated word. The shared paths call
+// it under spillMu, which orders the read against arena growth.
+func (h *History) readers(w *word) (first core.StrandID, more []core.StrandID) {
+	if w.reader0&spillFlag == 0 {
+		return w.reader0, nil
+	}
+	rs := h.arena[w.reader0&^spillFlag]
+	return rs[0], rs[1:]
 }
 
 // installWriter completes a write: the reader list is flushed and s
 // becomes the last writer. Called for race-free and racing writes alike
 // (see Write).
-func (h *History) installWriter(w *word, addr uint64, s core.StrandID) {
-	h.flushReaders(w, addr)
+func (h *History) installWriter(w *word, s core.StrandID) {
+	h.flushReaders(w)
 	w.lastWriter = s
 }
 
@@ -660,10 +709,10 @@ func (h *History) readWordSlow(w *word, p *page, addr uint64, s core.StrandID, c
 		h.readerAppends++
 		return
 	}
-	if w.reader0&^spillFlag == s {
+	if w.reader0 == s {
 		return // same strand re-reading between writes
 	}
-	h.appendSpill(w, addr, s)
+	h.appendSpill(w, s)
 }
 
 // WriteRange processes writes of words consecutive addresses starting at
@@ -742,29 +791,28 @@ func (h *History) WriteRange(addr uint64, words int, s core.StrandID, ctx *Ctx) 
 // race-free protocol run, so later sampled queries are unaffected.
 func (h *History) writeSlow(w *word, p *page, addr uint64, s core.StrandID, ctx *Ctx) {
 	if h.smp.on && !h.sampleSlow(p, addr, ctx.Gen) {
-		h.installWriter(w, addr, s)
+		h.installWriter(w, s)
 		return
 	}
 	if prev := w.lastWriter; prev != core.NoStrand && prev != s && !h.precedes(prev, s, ctx) {
-		h.installWriter(w, addr, s)
+		h.installWriter(w, s)
 		ctx.OnWriteRace(addr, Racer{Prev: prev, PrevWrite: true}, s)
 		return
 	}
-	if r0 := w.reader0 &^ spillFlag; r0 != core.NoStrand && r0 != s && !h.precedes(r0, s, ctx) {
-		h.installWriter(w, addr, s)
+	r0, more := h.readers(w)
+	if r0 != core.NoStrand && r0 != s && !h.precedes(r0, s, ctx) {
+		h.installWriter(w, s)
 		ctx.OnWriteRace(addr, Racer{Prev: r0, PrevWrite: false}, s)
 		return
 	}
-	if w.reader0&spillFlag != 0 {
-		for _, r := range h.spill[addr] {
-			if r != s && !h.precedes(r, s, ctx) {
-				h.installWriter(w, addr, s)
-				ctx.OnWriteRace(addr, Racer{Prev: r, PrevWrite: false}, s)
-				return
-			}
+	for _, r := range more {
+		if r != s && !h.precedes(r, s, ctx) {
+			h.installWriter(w, s)
+			ctx.OnWriteRace(addr, Racer{Prev: r, PrevWrite: false}, s)
+			return
 		}
 	}
-	h.installWriter(w, addr, s)
+	h.installWriter(w, s)
 }
 
 // Stats describes access-history traffic.
@@ -791,13 +839,14 @@ type Stats struct {
 	// transferred the stamp holder's race-free verdict to the reader.
 	EpochHits uint64
 	// EpochInflations counts single-reader → inflated transitions (a
-	// word's reader list outgrowing the inline slot into the spill list);
+	// word's reader list outgrowing the inline slot into an arena slot);
 	// EpochDeflations counts the inverse (a write install flushing an
 	// inflated word back toward the single-reader state).
 	EpochInflations uint64
 	EpochDeflations uint64
-	// SpillEntries is the number of reader entries held in the spill table
-	// at the time Stats was taken — the live footprint of inflated words.
+	// SpillEntries is the number of spilled reader entries — readers of
+	// inflated words beyond the first — at the time Stats was taken: the
+	// live footprint of inflated words, not the arena's capacity.
 	SpillEntries uint64
 	// ParRanges counts range operations that fanned out across the worker
 	// pool; ParChunks counts the chunks processed across all fan-outs.
@@ -814,11 +863,13 @@ type Stats struct {
 }
 
 // Stats returns the history's counters. Called on a quiescent history
-// (after the run, or between accesses), so the spill walk needs no lock.
+// (after the run, or between accesses), so the arena walk needs no lock.
 func (h *History) Stats() Stats {
 	var spillEntries uint64
-	for _, more := range h.spill {
-		spillEntries += uint64(len(more))
+	for _, rs := range h.arena {
+		if len(rs) > 0 { // a free slot is empty; a live one holds ≥ 2 readers
+			spillEntries += uint64(len(rs) - 1)
+		}
 	}
 	return Stats{
 		Reads: h.reads, Writes: h.writes,

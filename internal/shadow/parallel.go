@@ -14,7 +14,9 @@
 //     are atomic pointers and creation is serialized by stripe locks
 //     keyed on the page number (pageForShared), while the coordinator
 //     pre-ensures the directory level and overflow pages serially;
-//   - the rare multi-reader spill map is guarded by a mutex on this path;
+//   - the reader-list arena of inflated words (and its free list) is
+//     guarded by a mutex on this path: a slot belongs to one word, so
+//     only arena growth and slot reuse are shared;
 //   - each worker keeps its own last-page cache, (Gen, strand) verdict
 //     memo and stat counters, so the hot loop shares nothing.
 //
@@ -271,7 +273,7 @@ func (c *chunkState) readRange(addr uint64, words int) {
 }
 
 // readWordSlow mirrors History.readWordSlow — sampler consult included —
-// with worker-local memo and counters and a locked spill path.
+// with worker-local memo and counters and a locked arena path.
 func (c *chunkState) readWordSlow(w *word, p *page, addr uint64) {
 	if w.lastWriter != core.NoStrand {
 		if r := w.lastReader; r != core.NoStrand && c.epochOrdered(r) {
@@ -289,32 +291,25 @@ func (c *chunkState) readWordSlow(w *word, p *page, addr uint64) {
 		c.readerAppends++
 		return
 	}
-	if w.reader0&^spillFlag == c.s {
+	if w.reader0 == c.s {
 		return // same strand re-reading between writes
 	}
-	c.appendSpill(w, addr)
+	c.appendSpill(w)
 }
 
-// appendSpill mirrors History.appendSpill under the spill mutex. The
-// inline word is worker-exclusive; only the shared map needs the lock.
-func (c *chunkState) appendSpill(w *word, addr uint64) {
-	h := c.h
-	h.spillMu.Lock()
-	if w.reader0&spillFlag != 0 {
-		if more := h.spill[addr]; more[len(more)-1] == c.s {
-			h.spillMu.Unlock()
-			return // same strand re-reading; already recorded
-		}
-	} else {
-		w.reader0 |= spillFlag
+// appendSpill mirrors History.appendSpill under the spill mutex. The word
+// and its slot are worker-exclusive; the lock covers arena growth and the
+// free list, which every worker shares.
+func (c *chunkState) appendSpill(w *word) {
+	c.h.spillMu.Lock()
+	appended, inflated := c.h.spillReader(w, c.s)
+	c.h.spillMu.Unlock()
+	if appended {
+		c.readerAppends++
+	}
+	if inflated {
 		c.epochInflations++
 	}
-	if h.spill == nil {
-		h.spill = make(map[uint64][]core.StrandID)
-	}
-	h.spill[addr] = append(h.spill[addr], c.s)
-	h.spillMu.Unlock()
-	c.readerAppends++
 }
 
 // writeRange is the per-chunk mirror of History.WriteRange's segment loop.
@@ -349,42 +344,44 @@ func (c *chunkState) writeRange(addr uint64, words int) {
 // and the sampler consult (an unsampled write installs without querying).
 func (c *chunkState) writeSlow(w *word, p *page, addr uint64) {
 	if c.h.smp.on && !c.sampleSlow(p, addr) {
-		c.installWriter(w, addr)
+		c.installWriter(w)
 		return
 	}
 	if prev := w.lastWriter; prev != core.NoStrand && prev != c.s && !c.precedes(prev) {
-		c.installWriter(w, addr)
+		c.installWriter(w)
 		c.events = append(c.events, parEvent{addr, Racer{Prev: prev, PrevWrite: true}})
 		return
 	}
-	if r0 := w.reader0 &^ spillFlag; r0 != core.NoStrand && r0 != c.s && !c.precedes(r0) {
-		c.installWriter(w, addr)
+	r0, more := w.reader0, []core.StrandID(nil)
+	if r0&spillFlag != 0 {
+		c.h.spillMu.Lock()
+		r0, more = c.h.readers(w) // this slot is only mutated by this worker
+		c.h.spillMu.Unlock()
+	}
+	if r0 != core.NoStrand && r0 != c.s && !c.precedes(r0) {
+		c.installWriter(w)
 		c.events = append(c.events, parEvent{addr, Racer{Prev: r0, PrevWrite: false}})
 		return
 	}
-	if w.reader0&spillFlag != 0 {
-		c.h.spillMu.Lock()
-		readers := c.h.spill[addr] // this key is only mutated by this worker
-		c.h.spillMu.Unlock()
-		for _, r := range readers {
-			if r != c.s && !c.precedes(r) {
-				c.installWriter(w, addr)
-				c.events = append(c.events, parEvent{addr, Racer{Prev: r, PrevWrite: false}})
-				return
-			}
+	for _, r := range more {
+		if r != c.s && !c.precedes(r) {
+			c.installWriter(w)
+			c.events = append(c.events, parEvent{addr, Racer{Prev: r, PrevWrite: false}})
+			return
 		}
 	}
-	c.installWriter(w, addr)
+	c.installWriter(w)
 }
 
-// installWriter mirrors History.installWriter with a locked spill flush;
+// installWriter mirrors History.installWriter with a locked deflation;
 // the read-epoch stamp dies with the reader list (its verdict was proven
-// against the previous writer), and an inflated word deflates.
-func (c *chunkState) installWriter(w *word, addr uint64) {
+// against the previous writer), and an inflated word's arena slot returns
+// to the free list.
+func (c *chunkState) installWriter(w *word) {
 	if w.reader0 != core.NoStrand {
 		if w.reader0&spillFlag != 0 {
 			c.h.spillMu.Lock()
-			c.h.spill[addr] = c.h.spill[addr][:0]
+			c.h.deflate(w)
 			c.h.spillMu.Unlock()
 			c.epochDeflations++
 		}

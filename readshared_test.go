@@ -154,6 +154,36 @@ func BenchmarkAccessHistoryReadShared(b *testing.B) {
 	b.ReportMetric(float64(queries)/float64(reads), "queries/read")
 }
 
+// BenchmarkAccessHistoryReadSharedWide is pagerank's reader fan-out: each
+// of several rounds rewrites the shared range, then 16 sibling readers
+// scan all of it, so every word inflates to a 16-reader list and the next
+// round's writes deflate it. The reader appends, not the reachability
+// queries, are the cost here: it reports readerappends/op next to the
+// time, the load the reader-list storage carries on pagerank.
+func BenchmarkAccessHistoryReadSharedWide(b *testing.B) {
+	const words, blk, k, r, rounds = 1 << 14, 64, 4, 16, 4
+	arr := futurerd.NewArray[int64](words)
+	base := arr.Addr(0)
+	round := readSharedProgram(base, words, blk, k, r, 1)
+	prog := func(t *futurerd.Task) {
+		for i := 0; i < rounds; i++ {
+			round(t)
+		}
+	}
+	var appends uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep := futurerd.Detect(futurerd.Config{
+			Mode: futurerd.ModeMultiBags, Mem: futurerd.MemFull,
+		}, prog)
+		if rep.Racy() {
+			b.Fatal("unexpected race")
+		}
+		appends = rep.Stats.Shadow.ReaderAppends
+	}
+	b.ReportMetric(float64(appends), "readerappends/op")
+}
+
 // BenchmarkChunkWords sweeps the parallel range chunk granule
 // (Config.WorkerChunk) over a bulk seqscan so DefaultChunkWords can be
 // picked from data; chunk=0 is the shipped default.
