@@ -17,9 +17,15 @@
 // (fig6, fig7, vc, ...) present on one side only is a named hard failure,
 // not a silent row skip — adding a back-end without regenerating the
 // baseline would otherwise pass the gate with the new rows unchecked.
-// Intentional changes regenerate the baseline in the same commit:
+// Batch footprints and the independence classification are computed
+// only by the consumer pool, so their counters (event.independent,
+// event.serialized, event.fpspans, event.fppages, event.collapsed) read
+// zero in serial documents; a second baseline measured with
+// -consumers 2 gates them. Intentional changes regenerate the baselines
+// in the same commit:
 //
 //	go run ./cmd/futurerd-bench -json -size test -iters 1 > BENCH_baseline.json
+//	go run ./cmd/futurerd-bench -json -size test -iters 1 -consumers 2 > BENCH_baseline_consumers.json
 //
 // Usage:
 //

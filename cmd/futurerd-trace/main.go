@@ -182,14 +182,21 @@ func printReport(rep *futurerd.Report, ml futurerd.MemLevel) {
 			fmt.Printf("par fan-outs    %d ranges, %d chunks\n",
 				s.Shadow.ParRanges, s.Shadow.ParChunks)
 		}
-		fmt.Printf("batches         %d sealed (%d independent, %d serialized)\n",
-			s.Event.Batches, s.Event.IndependentBatches, s.Event.SerializedBatches)
-		fmt.Printf("footprints      %d spans over %d pages",
-			s.Event.FootprintSpans, s.Event.FootprintPages)
-		if s.Event.CollapsedFootprints > 0 {
-			fmt.Printf(" (%d collapsed to hull)", s.Event.CollapsedFootprints)
+		fmt.Printf("batches         %d sealed", s.Event.Batches)
+		if s.Event.FootprintSpans > 0 {
+			fmt.Printf(" (%d independent, %d serialized)\n",
+				s.Event.IndependentBatches, s.Event.SerializedBatches)
+			fmt.Printf("footprints      %d spans over %d pages",
+				s.Event.FootprintSpans, s.Event.FootprintPages)
+			if s.Event.CollapsedFootprints > 0 {
+				fmt.Printf(" (%d collapsed to hull)", s.Event.CollapsedFootprints)
+			}
+			fmt.Println()
+		} else {
+			// Only the consumer pool summarizes and classifies batches.
+			fmt.Println(" (independence: consumer pool only)")
+			fmt.Println("footprints      (consumer pool only)")
 		}
-		fmt.Println()
 	}
 	for _, r := range rep.Races {
 		fmt.Printf("  %s\n", r)

@@ -86,11 +86,14 @@
 // layer, so even word-at-a-time code pays the per-range, not per-word,
 // cost. Batches are sealed at parallel constructs — where the
 // reachability relation is about to mutate — so everything in one batch
-// executed under a single immutable relation, and each leaves with a
-// footprint: its strand plus a compact summary of the shadow pages it
-// touches. With Config.Workers > 1 or Config.Consumers > 1 sealed
-// batches are checked off the engine goroutine, overlapping continued
-// program execution, and constructs do not wait for them: the relation
+// executed under a single immutable relation. Under the consumer pool
+// each also leaves with a footprint — its strand plus a compact summary
+// of the shadow pages it touches — and dependency stamps for the
+// construct mutations recorded since the previous batch; only the pool's
+// scheduler reads them, so no other configuration computes them. With
+// Config.Workers > 1 or Config.Consumers > 1 sealed batches are checked
+// off the engine goroutine, overlapping continued program execution,
+// and constructs do not wait for them: the relation
 // is versioned (core.Versioned), constructs record their mutations into
 // a bounded log, each batch carries the version it executed under, and
 // the back-end replays mutations before checking. The engine runs ahead
@@ -122,7 +125,10 @@
 // answered from the versioned snapshot in stream order (a violation is
 // recorded, never acted on, so nothing needs the answer eagerly).
 // Verdicts, report order and deterministic counters are identical to a
-// synchronous run for every Workers × Consumers combination; a shadow
+// synchronous run for every Workers × Consumers combination, except the
+// five pool-only Stats.Event footprint and independence counters, which
+// read 0 without the pool and are identical across every Consumers > 1
+// configuration; a shadow
 // install audit asserts the disjoint-footprint invariant at run time and
 // the -race CI suite drives it.
 //

@@ -279,12 +279,16 @@ func footprint(rep *futurerd.Report) string {
 // of their predecessor — the (deterministic) pairwise form of the
 // multi-consumer scheduler's concurrency condition, so it reads as "how
 // much of this workload's batch stream a consumer pool can overlap".
+// Only the consumer pool classifies batches; without one it renders "-".
 func indepPct(rep *futurerd.Report) string {
-	if rep == nil || rep.Stats.Event.Batches == 0 {
+	if rep == nil {
 		return "-"
 	}
 	ev := rep.Stats.Event
-	return fmt.Sprintf("%.0f%%", 100*float64(ev.IndependentBatches)/float64(ev.Batches))
+	if classified := ev.IndependentBatches + ev.SerializedBatches; classified > 0 {
+		return fmt.Sprintf("%.0f%%", 100*float64(ev.IndependentBatches)/float64(classified))
+	}
+	return "-"
 }
 
 // overlapped / stolen render the overlapping scheduler's outcome
@@ -362,7 +366,8 @@ func figure(opts Options, name, title string, mode futurerd.Mode, pick func(work
 		"read-shared epoch fast paths (disjoint; each access counts at most once);",
 		"epoch = accesses whose writer query a cross-generation stamp transfer paid;",
 		"indep = sealed batches independent of their predecessor (what a multi-",
-		"consumer back-end can check concurrently); ovlp/stolen = windows published",
+		"consumer back-end can check concurrently; only the pool classifies, so",
+		"\"-\" without -consumers > 1); ovlp/stolen = windows published",
 		"over an in-flight predecessor and chunks checked by a non-primary consumer",
 		"(scheduling outcomes: zero for serial runs, timing-dependent with a pool);",
 		"shadow = resident shadow footprint (touched pages at 12 B/word + spilled reader",

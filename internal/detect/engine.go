@@ -91,7 +91,7 @@ type Engine struct {
 
 	// consumers is the effective width of the detection consumer pool
 	// (Config.Consumers clamped by eligibility: concurrent-query-safe
-	// algorithm, no Verify, no oracle).
+	// algorithm, no Verify, no oracle). See pooled for what it gates.
 	consumers int
 
 	// Dependency classification of construct mutations, accumulated on
@@ -102,7 +102,7 @@ type Engine struct {
 	// join, future get); a span names the subtree a return retags.
 	// depApplyBarrier additionally accumulates whether any mutation since
 	// the last item is not pin-safe — the scheduler must drain snapshot
-	// pins before advancing the relation past it.
+	// pins before advancing the relation past it. Consumer pool only.
 	depBarrier      bool
 	depApplyBarrier bool
 	depSpans        []event.StrandSpan
@@ -117,10 +117,12 @@ type Engine struct {
 	stealWords int
 
 	// Batch-pipeline stats (Stats.Event), counted at seal time on the
-	// engine goroutine in every pipeline mode, so they are deterministic
-	// and identical across Consumers/Workers configurations. prevFP,
-	// prevStrand and havePrev hold the previous sealed batch's footprint
-	// for the pairwise independence classification.
+	// engine goroutine, so they are deterministic. Batches is counted in
+	// every pipeline mode; the footprint and independence counters only
+	// when pooled, where they are identical across every Consumers > 1 ×
+	// Workers configuration. prevFP, prevStrand and havePrev hold the
+	// previous sealed batch's footprint for the pairwise independence
+	// classification.
 	evStats    event.Stats
 	prevFP     event.Footprint
 	prevStrand core.StrandID
@@ -343,6 +345,14 @@ func (e *Engine) initPipeline(cfg Config) {
 	}
 }
 
+// pooled reports whether the consumer pool runs. It is the one rule for
+// everything only the pool's scheduler reads: batch footprints, the
+// dependency stamps (Barrier, ApplyBarrier, RetSpans) and their
+// accumulators, and the footprint and independence counters of
+// Stats.Event are computed only when it holds. The serial path and the
+// single-consumer stream never look at them, so they never pay for them.
+func (e *Engine) pooled() bool { return e.consumers > 1 }
+
 // consumersEligible reports whether the multi-consumer back-end may run:
 // its consumers query the reachability relation concurrently (under a
 // pinned snapshot), so the algorithm must advertise QueryConcurrent;
@@ -386,11 +396,11 @@ func addDepSpan(barrier *bool, spans []event.StrandSpan, sp event.StrandSpan) []
 // classifyMut accumulates the dependency class of one construct mutation
 // for the scheduler (dep*) and the batch stats (stat*): joins and gets
 // are barriers, returns of multi-strand subtrees carry their strand span,
-// spawns/creates/init only introduce fresh elements and are free. With no
-// batch layer (MemOff) nothing ever consumes or resets the accumulators,
-// so classification is skipped entirely.
+// spawns/creates/init only introduce fresh elements and are free. Only
+// the consumer pool reads the classification, so it is skipped entirely
+// on every other engine (including MemOff, which has no batch layer).
 func (e *Engine) classifyMut(m *core.Mut) {
-	if e.batch == nil {
+	if !e.pooled() {
 		return
 	}
 	if !m.PinSafe {
@@ -414,8 +424,12 @@ func (e *Engine) classifyMut(m *core.Mut) {
 }
 
 // stampDep moves the accumulated since-last-item dependency info onto the
-// outgoing batch and resets the accumulator. Engine goroutine only.
+// outgoing batch and resets the accumulator; a no-op unless pooled.
+// Engine goroutine only.
 func (e *Engine) stampDep(b *event.Batch) {
+	if !e.pooled() {
+		return
+	}
 	b.Barrier = e.depBarrier
 	b.ApplyBarrier = e.depApplyBarrier
 	b.RetSpans = append(b.RetSpans[:0], e.depSpans...)
@@ -424,12 +438,12 @@ func (e *Engine) stampDep(b *event.Batch) {
 	e.depSpans = e.depSpans[:0]
 }
 
-// noteBatchStats classifies one sealed non-empty batch against its
+// noteBatchStats classifies one sealed, summarized batch against its
 // predecessor (the deterministic pairwise form of the scheduler's
-// independence condition) and sizes its footprint, in every pipeline
-// mode, so Stats.Event is identical across Consumers/Workers configs.
+// independence condition) and sizes its footprint. Consumer pool only;
+// counted at seal time, so the counters are identical across every
+// Consumers > 1 × Workers configuration.
 func (e *Engine) noteBatchStats(b *event.Batch) {
-	e.evStats.Batches++
 	e.evStats.FootprintSpans += uint64(len(b.FP.Spans))
 	e.evStats.FootprintPages += b.FP.Pages()
 	if !b.FP.Exact {
@@ -460,9 +474,9 @@ func (e *Engine) noteBatchStats(b *event.Batch) {
 
 // mutate applies one construct mutation to the reachability relation:
 // inline when the pipeline is synchronous, recorded into the versioned log
-// (for the back-end to apply in batch order) when it is not. Either way
-// the mutation's dependency class is accumulated for the scheduler and
-// the batch stats.
+// (for the back-end to apply in batch order) when it is not. Under the
+// consumer pool the mutation's dependency class is also accumulated for
+// the scheduler and the batch stats.
 func (e *Engine) mutate(m core.Mut) {
 	m.PinSafe = e.pinSafe[m.Op]
 	if e.vr == nil {
@@ -960,9 +974,11 @@ func (e *Engine) seal() {
 // flushBatch hands the open batch to the detection back-end: inline on
 // the engine goroutine when the pipeline is synchronous, queued to the
 // back-end (overlapping continued execution) when it is not. The batch is
-// stamped with the current construct generation, relation version, page
-// footprint and dependency info either way, and the batch-pipeline stats
-// are counted here so they are identical across pipeline modes.
+// stamped with the current construct generation and relation version
+// either way. Only the consumer pool schedules on page footprints and
+// dependency info, so only a pooled engine summarizes the batch, stamps
+// it and counts the footprint stats — here, at seal time, so they are
+// deterministic.
 func (e *Engine) flushBatch() {
 	if len(e.batch.Ops) == 0 {
 		return
@@ -973,14 +989,17 @@ func (e *Engine) flushBatch() {
 		b.Version = e.vr.Recorded()
 		e.submittedVersion = b.Version
 	}
-	b.Summarize(shadow.PageBits)
-	e.noteBatchStats(b)
-	e.stampDep(b)
-	if e.faults.Fire(faultinject.CorruptFootprint) {
-		// After noteBatchStats, so the deterministic Stats.Event counters
-		// stay identical to a fault-free run; only the scheduler and the
-		// install audit see the lie.
-		b.FP.Corrupt()
+	e.evStats.Batches++
+	if e.pooled() {
+		b.Summarize(shadow.PageBits)
+		e.noteBatchStats(b)
+		e.stampDep(b)
+		if e.faults.Fire(faultinject.CorruptFootprint) {
+			// After noteBatchStats, so the deterministic Stats.Event
+			// counters stay identical to a fault-free run; only the
+			// scheduler and the install audit see the lie.
+			b.FP.Corrupt()
+		}
 	}
 	if e.be != nil {
 		e.batch = event.New()

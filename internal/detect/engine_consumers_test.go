@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"fmt"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -50,27 +51,76 @@ func consumersProg(tk *Task) {
 	tk.Sync()
 }
 
+// equivStats prepares a report's Stats for a deep-equal against another
+// pipeline configuration: the worker pool's plumbing counters (fan-out
+// counts, per-worker page-cache locality) are zeroed, and Event is split
+// by event.Stats.SplitPoolOnly, whose pool-only counters are returned for
+// checkPoolOnly.
+func equivStats(s Stats) (Stats, event.Stats) {
+	s.Shadow.ParRanges, s.Shadow.ParChunks, s.Shadow.PageCacheHits = 0, 0, 0
+	pool := s.Event.SplitPoolOnly()
+	return s, pool
+}
+
+// pooledRef runs prog under a Consumers = 2 engine built from cfg and
+// returns its pool-only counters: the reference every pooled run must
+// reproduce. It also checks they classify every batch.
+func pooledRef(t *testing.T, cfg Config, prog func(*Task)) event.Stats {
+	t.Helper()
+	cfg.Consumers = 2
+	rep := NewEngine(cfg).Run(prog)
+	if rep.Err != nil {
+		t.Fatalf("%v c=2 reference: %v", cfg.Mode, rep.Err)
+	}
+	_, pool := equivStats(rep.Stats)
+	if n := pool.IndependentBatches + pool.SerializedBatches; n != rep.Stats.Event.Batches || pool.FootprintSpans == 0 {
+		t.Fatalf("%v c=2 reference: %d of %d batches classified, %d footprint spans",
+			cfg.Mode, n, rep.Stats.Event.Batches, pool.FootprintSpans)
+	}
+	return pool
+}
+
+// checkPoolOnly holds one run's pool-only counters at zero when it ran
+// without the consumer pool, and at the Consumers = 2 reference when it
+// ran with one.
+func checkPoolOnly(t *testing.T, label string, consumers int, got, ref event.Stats) {
+	t.Helper()
+	var want event.Stats
+	if consumers > 1 {
+		want = ref
+	}
+	if got != want {
+		t.Fatalf("%s: pool-only counters diverge\nwant %+v\ngot  %+v", label, want, got)
+	}
+}
+
 // TestConsumersEquivalence is the acceptance check: across all three
 // algorithms × Consumers ∈ {1,2,4} × Workers ∈ {1,4}, the race stream
 // (content and order), the violations and the full Stats — shadow
 // protocol traffic, both epoch fast paths, memo hits, reachability
-// queries, batch-pipeline counters — must deep-equal the serial run.
-// Only the pool's plumbing counters (fan-out counts, per-worker
-// page-cache locality) and the scheduler's timing-dependent outcome
-// counters (stolen chunks, overlapped windows) may differ, as in the
-// Workers equivalence test.
+// queries, batch counts — must deep-equal the serial run. Only the
+// pool's plumbing counters (fan-out counts, per-worker page-cache
+// locality) and the scheduler's timing-dependent outcome counters
+// (stolen chunks, overlapped windows) may differ, as in the Workers
+// equivalence test. The pool-only footprint and independence counters
+// must be zero without the consumer pool and equal to the Consumers = 2
+// run's with it.
 func TestConsumersEquivalence(t *testing.T) {
 	for _, mode := range []Mode{ModeSPBags, ModeMultiBags, ModeMultiBagsPlus} {
-		serial := NewEngine(Config{Mode: mode, Mem: MemFull, MaxRaces: 1 << 20}).Run(consumersProg)
+		base := Config{Mode: mode, Mem: MemFull, MaxRaces: 1 << 20}
+		serial := NewEngine(base).Run(consumersProg)
 		if serial.Err != nil {
 			t.Fatalf("%v: %v", mode, serial.Err)
 		}
 		if !serial.Racy() {
 			t.Fatalf("%v: program raced nowhere; the test needs races to order", mode)
 		}
-		if serial.Stats.Event.IndependentBatches == 0 {
+		poolRef := pooledRef(t, base, consumersProg)
+		if poolRef.IndependentBatches == 0 {
 			t.Fatalf("%v: no independent batches; the test needs concurrent windows", mode)
 		}
+		ss, sp := equivStats(serial.Stats)
+		checkPoolOnly(t, fmt.Sprintf("%v serial", mode), 1, sp, poolRef)
 		for _, consumers := range []int{1, 2, 4} {
 			for _, workers := range []int{1, 4} {
 				cfg := Config{
@@ -88,15 +138,52 @@ func TestConsumersEquivalence(t *testing.T) {
 				if !reflect.DeepEqual(serial.Violations, rep.Violations) {
 					t.Fatalf("%v c=%d w=%d: violations diverge", mode, consumers, workers)
 				}
-				ss, as := serial.Stats, rep.Stats
-				ss.Shadow.ParRanges, ss.Shadow.ParChunks, ss.Shadow.PageCacheHits = 0, 0, 0
-				as.Shadow.ParRanges, as.Shadow.ParChunks, as.Shadow.PageCacheHits = 0, 0, 0
-				ss.Event.StolenChunks, ss.Event.OverlappedWindows = 0, 0
-				as.Event.StolenChunks, as.Event.OverlappedWindows = 0, 0
+				as, ap := equivStats(rep.Stats)
 				if !reflect.DeepEqual(ss, as) {
 					t.Fatalf("%v c=%d w=%d: stats diverge\nserial %+v\ngot    %+v",
 						mode, consumers, workers, ss, as)
 				}
+				checkPoolOnly(t, fmt.Sprintf("%v c=%d w=%d", mode, consumers, workers), consumers, ap, poolRef)
+			}
+		}
+	}
+}
+
+// TestDefaultPipelineNeverSummarizes pins the rule that only the consumer
+// pool pays for footprints: with Consumers = 1, for every algorithm and
+// with or without the single-consumer stream (Workers 4 or 1), batches
+// are counted but never summarized, classified or stamped with
+// dependency info.
+func TestDefaultPipelineNeverSummarizes(t *testing.T) {
+	for _, mode := range []Mode{ModeSPBags, ModeMultiBags, ModeMultiBagsPlus, ModeVectorClocks} {
+		for _, workers := range []int{1, 4} {
+			e := NewEngine(Config{Mode: mode, Mem: MemFull, Workers: workers, Consumers: 1})
+			var seen, stamped atomic.Int64
+			if e.be != nil {
+				e.be.testHook = func(b *event.Batch) {
+					seen.Add(1)
+					if len(b.FP.Spans) > 0 || len(b.RetSpans) > 0 || b.Barrier || b.ApplyBarrier {
+						stamped.Add(1)
+					}
+				}
+			}
+			rep := e.Run(consumersProg)
+			if rep.Err != nil {
+				t.Fatalf("%v w=%d: %v", mode, workers, rep.Err)
+			}
+			ev := rep.Stats.Event
+			if ev.Batches == 0 {
+				t.Fatalf("%v w=%d: no batches sealed", mode, workers)
+			}
+			if ev.FootprintSpans != 0 || ev.IndependentBatches != 0 || ev.SerializedBatches != 0 {
+				t.Fatalf("%v w=%d: default pipeline summarized batches: %+v", mode, workers, ev)
+			}
+			if workers > 1 && seen.Load() == 0 {
+				t.Fatalf("%v w=%d: no batch reached the single-consumer stream", mode, workers)
+			}
+			if n := stamped.Load(); n > 0 {
+				t.Fatalf("%v w=%d: %d of %d streamed batches carried a footprint or dependency stamps",
+					mode, workers, n, seen.Load())
 			}
 		}
 	}
@@ -132,14 +219,15 @@ func epochProg(tk *Task) {
 // transfer across the consumer pool: for every algorithm × Consumers ∈
 // {1,2,4} × Workers ∈ {1,4}, the full Stats — including EpochHits,
 // EpochInflations, EpochDeflations and SpillEntries — must deep-equal
-// the serial run, and the serial run must actually take cross-generation
-// transfers. For the verifying algorithms, a Verify run (whose wrapped
+// the serial run (the pool-only counters as in TestConsumersEquivalence),
+// and the serial run must actually take cross-generation transfers. For the verifying algorithms, a Verify run (whose wrapped
 // relation drops the EpochConcurrent capability, so the reference
 // protocol runs epoch-free under oracle audit) must report the identical
 // race stream.
 func TestEpochConsumersEquivalence(t *testing.T) {
 	for _, mode := range []Mode{ModeSPBags, ModeMultiBags, ModeMultiBagsPlus} {
-		serial := NewEngine(Config{Mode: mode, Mem: MemFull, MaxRaces: 1 << 20}).Run(epochProg)
+		base := Config{Mode: mode, Mem: MemFull, MaxRaces: 1 << 20}
+		serial := NewEngine(base).Run(epochProg)
 		if serial.Err != nil {
 			t.Fatalf("%v: %v", mode, serial.Err)
 		}
@@ -149,6 +237,9 @@ func TestEpochConsumersEquivalence(t *testing.T) {
 		if serial.Stats.Shadow.EpochHits == 0 {
 			t.Fatalf("%v: no cross-generation stamp transfers; the test exercises nothing", mode)
 		}
+		poolRef := pooledRef(t, base, epochProg)
+		ss, sp := equivStats(serial.Stats)
+		checkPoolOnly(t, fmt.Sprintf("%v serial", mode), 1, sp, poolRef)
 		for _, consumers := range []int{1, 2, 4} {
 			for _, workers := range []int{1, 4} {
 				rep := NewEngine(Config{
@@ -162,15 +253,12 @@ func TestEpochConsumersEquivalence(t *testing.T) {
 					t.Fatalf("%v c=%d w=%d: race streams diverge\nserial %v\ngot    %v",
 						mode, consumers, workers, serial.Races, rep.Races)
 				}
-				ss, as := serial.Stats, rep.Stats
-				ss.Shadow.ParRanges, ss.Shadow.ParChunks, ss.Shadow.PageCacheHits = 0, 0, 0
-				as.Shadow.ParRanges, as.Shadow.ParChunks, as.Shadow.PageCacheHits = 0, 0, 0
-				ss.Event.StolenChunks, ss.Event.OverlappedWindows = 0, 0
-				as.Event.StolenChunks, as.Event.OverlappedWindows = 0, 0
+				as, ap := equivStats(rep.Stats)
 				if !reflect.DeepEqual(ss, as) {
 					t.Fatalf("%v c=%d w=%d: stats diverge\nserial %+v\ngot    %+v",
 						mode, consumers, workers, ss, as)
 				}
+				checkPoolOnly(t, fmt.Sprintf("%v c=%d w=%d", mode, consumers, workers), consumers, ap, poolRef)
 			}
 		}
 		if mode == ModeSPBags {
@@ -251,7 +339,8 @@ func TestConsumersCheckConcurrently(t *testing.T) {
 // program in which every batch is dependent on its predecessor (same
 // pages, plus a sync barrier between any two) through the consumer pool:
 // the pipeline must degenerate to serial order — zero independent
-// batches, identical report — and terminate (no deadlock; watchdog).
+// batches, identical report — and terminate (no deadlock; watchdog). The
+// pool-only counters are checked as in TestConsumersEquivalence.
 func TestConsumersDependentDegeneratesToSerial(t *testing.T) {
 	prog := func(tk *Task) {
 		tk.Write(1)
@@ -263,14 +352,17 @@ func TestConsumersDependentDegeneratesToSerial(t *testing.T) {
 		}
 		tk.Read(1)
 	}
-	serial := NewEngine(Config{Mode: ModeMultiBagsPlus, Mem: MemFull, MaxRaces: 1 << 20}).Run(prog)
+	base := Config{Mode: ModeMultiBagsPlus, Mem: MemFull, MaxRaces: 1 << 20, ConstructAhead: 8}
+	serial := NewEngine(base).Run(prog)
 	if serial.Err != nil {
 		t.Fatal(serial.Err)
 	}
-	if serial.Stats.Event.IndependentBatches != 0 {
-		t.Fatalf("IndependentBatches = %d, want 0 (every batch is dependent)",
-			serial.Stats.Event.IndependentBatches)
+	poolRef := pooledRef(t, base, prog)
+	if poolRef.IndependentBatches != 0 {
+		t.Fatalf("IndependentBatches = %d, want 0 (every batch is dependent)", poolRef.IndependentBatches)
 	}
+	ss, sp := equivStats(serial.Stats)
+	checkPoolOnly(t, "serial", 1, sp, poolRef)
 	for _, consumers := range []int{2, 4} {
 		done := make(chan *Report, 1)
 		go func() {
@@ -288,15 +380,12 @@ func TestConsumersDependentDegeneratesToSerial(t *testing.T) {
 		if rep.Err != nil {
 			t.Fatalf("consumers=%d: %v", consumers, rep.Err)
 		}
-		ss, as := serial.Stats, rep.Stats
-		ss.Shadow.ParRanges, ss.Shadow.ParChunks, ss.Shadow.PageCacheHits = 0, 0, 0
-		as.Shadow.ParRanges, as.Shadow.ParChunks, as.Shadow.PageCacheHits = 0, 0, 0
-		ss.Event.StolenChunks, ss.Event.OverlappedWindows = 0, 0
-		as.Event.StolenChunks, as.Event.OverlappedWindows = 0, 0
+		as, ap := equivStats(rep.Stats)
 		if !reflect.DeepEqual(serial.Races, rep.Races) || !reflect.DeepEqual(ss, as) {
 			t.Fatalf("consumers=%d diverges from serial:\nserial %+v\ngot    %+v",
 				consumers, ss, as)
 		}
+		checkPoolOnly(t, fmt.Sprintf("consumers=%d", consumers), consumers, ap, poolRef)
 	}
 }
 
@@ -413,10 +502,11 @@ func TestConsumersInstrumentationOnly(t *testing.T) {
 	}
 }
 
-// TestDepAccumulatorsBounded: a MemOff engine has no batch layer, so the
-// dependency classifiers must not accumulate at all; and on a batching
-// engine an access-free return storm must stay within the accumulator
-// bound (collapsing to a barrier past it) instead of growing per spawn.
+// TestDepAccumulatorsBounded: only the consumer pool reads the
+// dependency classification, so a MemOff engine (no batch layer) and a
+// serial engine must not accumulate at all; and on a pooled engine an
+// access-free return storm must stay within the accumulator bound
+// (collapsing to a barrier past it) instead of growing per spawn.
 func TestDepAccumulatorsBounded(t *testing.T) {
 	spawnStorm := func(n int) func(*Task) {
 		return func(tk *Task) {
@@ -430,13 +520,15 @@ func TestDepAccumulatorsBounded(t *testing.T) {
 			tk.Sync()
 		}
 	}
-	e := NewEngine(Config{Mode: ModeMultiBagsPlus, Mem: MemOff})
-	if rep := e.Run(spawnStorm(500)); rep.Err != nil {
-		t.Fatal(rep.Err)
-	}
-	if len(e.depSpans) != 0 || len(e.statSpans) != 0 {
-		t.Fatalf("MemOff run accumulated %d/%d dependency spans, want 0/0",
-			len(e.depSpans), len(e.statSpans))
+	for _, mem := range []MemLevel{MemOff, MemFull} {
+		e := NewEngine(Config{Mode: ModeMultiBagsPlus, Mem: mem, Consumers: 1})
+		if rep := e.Run(spawnStorm(500)); rep.Err != nil {
+			t.Fatal(rep.Err)
+		}
+		if len(e.depSpans) != 0 || len(e.statSpans) != 0 {
+			t.Fatalf("%v run accumulated %d/%d dependency spans, want 0/0",
+				mem, len(e.depSpans), len(e.statSpans))
+		}
 	}
 	// Barrier-free span storm: a spawned child that creates (and never
 	// gets) a future returns a multi-strand subtree with no join or get
@@ -453,7 +545,7 @@ func TestDepAccumulatorsBounded(t *testing.T) {
 	// MultiBags here: MultiBags+'s R closure is deliberately O(k²) in
 	// never-gotten futures (the paper's Fig. 8 term) and this storm only
 	// needs the engine-side accumulators exercised.
-	e = NewEngine(Config{Mode: ModeMultiBags, Mem: MemFull})
+	e := NewEngine(Config{Mode: ModeMultiBags, Mem: MemFull, Consumers: 2})
 	if rep := e.Run(futStorm(3 * maxDepSpans)); rep.Err != nil {
 		t.Fatal(rep.Err)
 	}

@@ -144,9 +144,6 @@ func TestOverlapConstructDense(t *testing.T) {
 	if serial.Err != nil {
 		t.Fatal(serial.Err)
 	}
-	if got := serial.Stats.Event.IndependentBatches; got != 0 {
-		t.Fatalf("IndependentBatches = %d, want 0 (every batch shares the page)", got)
-	}
 
 	e := NewEngine(Config{Mode: ModeMultiBags, Mem: MemFull, MaxRaces: 1 << 20, Consumers: 2})
 	release := make(chan struct{})
@@ -166,6 +163,9 @@ func TestOverlapConstructDense(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial.Races, rep.Races) {
 		t.Fatalf("race streams diverge\nserial %v\ngot    %v", serial.Races, rep.Races)
+	}
+	if got := rep.Stats.Event.IndependentBatches; got != 0 {
+		t.Fatalf("IndependentBatches = %d, want 0 (every batch shares the page)", got)
 	}
 	if got := rep.Stats.Event.OverlappedWindows; got == 0 {
 		t.Fatal("OverlappedWindows = 0, want > 0 on a construct-dense fan-out")

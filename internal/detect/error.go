@@ -49,7 +49,8 @@ type PipelineError struct {
 	// when the stage failed (0 when no batch was in hand).
 	Seq uint64
 	// Batch is a diagnostic one-liner of that batch: strand, generation,
-	// relation version, op count and page footprint.
+	// relation version, op count and, under the consumer pool, page
+	// footprint.
 	Batch string
 	// Progress is the pipeline's per-stage progress at failure time.
 	Progress PipelineProgress
@@ -74,12 +75,17 @@ func (e *PipelineError) Error() string {
 // Unwrap exposes the cause to errors.Is/As.
 func (e *PipelineError) Unwrap() error { return e.Cause }
 
-// batchDiag condenses a batch into the diagnostic footprint line a
-// PipelineError carries.
+// batchDiag condenses a batch into the diagnostic line a PipelineError
+// carries. Only consumer-pool batches are summarized, so the footprint is
+// shown only when the batch has one.
 func batchDiag(b *event.Batch) string {
 	if b == nil {
 		return ""
 	}
-	return fmt.Sprintf("strand %d gen %d version %d ops %d footprint %v",
-		b.Strand, b.Gen, b.Version, len(b.Ops), b.FP.Spans)
+	s := fmt.Sprintf("strand %d gen %d version %d ops %d",
+		b.Strand, b.Gen, b.Version, len(b.Ops))
+	if len(b.FP.Spans) > 0 {
+		s += fmt.Sprintf(" footprint %v", b.FP.Spans)
+	}
+	return s
 }

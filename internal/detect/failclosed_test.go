@@ -35,7 +35,8 @@ func TestErrorPathJoinsPipeline(t *testing.T) {
 // TestInjectedPanicBecomesPipelineError pins the recovery chain on the
 // consumer path: the injected panic value must survive — wrapped, not
 // swallowed — into a PipelineError carrying the stage and a progress
-// snapshot, and the engine must be poisoned, not wedged.
+// snapshot, and the engine must be poisoned, not wedged. The batch
+// diagnosis shows a footprint only where one was computed.
 func TestInjectedPanicBecomesPipelineError(t *testing.T) {
 	faultinject.GoroutineLeakCheck(t)
 	for _, consumers := range []int{1, 4} {
@@ -66,6 +67,11 @@ func TestInjectedPanicBecomesPipelineError(t *testing.T) {
 		}
 		if !strings.Contains(pe.Error(), "consumer") {
 			t.Fatalf("c=%d: error text does not name the stage: %v", consumers, pe)
+		}
+		// Only the consumer pool summarizes batches, so only its
+		// diagnosis can name a footprint.
+		if got := strings.Contains(pe.Batch, "footprint"); got != (consumers > 1) {
+			t.Fatalf("c=%d: batch diagnosis %q, want footprint shown = %v", consumers, pe.Batch, consumers > 1)
 		}
 	}
 }

@@ -116,7 +116,8 @@ type Config struct {
 	// dependency-aware scheduler groups the batch stream into windows and
 	// a sequence-numbered reorder buffer keeps race delivery in seal
 	// order, so reports are verdict-, order- and counter-identical to a
-	// serial run for any Consumers (and any Workers) setting. Consumers
+	// serial run for any Consumers (and any Workers) setting, except the
+	// pool-only Stats.Event counters (see Stats.Event). Consumers
 	// <= 1 keeps the single-consumer back-end; > 1 requires an algorithm
 	// with a concurrent-safe query path (SP-Bags, MultiBags, MultiBags+ —
 	// the oracle and Verify runs fall back to one consumer). Consumers is
@@ -309,10 +310,15 @@ type Stats struct {
 	// deterministic pairwise independent/serialized classification the
 	// multi-consumer scheduler's window rules are built from, and
 	// footprint summary sizes. Counted at seal time on the engine
-	// goroutine, so identical across Workers/Consumers configurations —
-	// except Event.StolenChunks and Event.OverlappedWindows, which count
-	// scheduling outcomes (chunks checked by a stealing consumer, relation
-	// versions published over in-flight batches) and are timing-dependent.
+	// goroutine, so deterministic. Batches is identical across every
+	// Workers/Consumers configuration. The five footprint and
+	// independence counters (IndependentBatches, SerializedBatches,
+	// FootprintSpans, FootprintPages, CollapsedFootprints) are pool-only:
+	// 0 when Consumers <= 1, identical across every Consumers > 1 ×
+	// Workers configuration. Event.StolenChunks and
+	// Event.OverlappedWindows count scheduling outcomes (chunks checked by
+	// a stealing consumer, relation versions published over in-flight
+	// batches) and are timing-dependent.
 	Event event.Stats
 
 	// Trace describes how a trace replay ended; meaningful only for

@@ -22,16 +22,21 @@
 //
 // # Footprints
 //
-// A sealed batch carries a footprint: the strand that performed it plus a
-// compact summary of the shadow pages it touches (sorted, merged page
-// spans, collapsed to their hull past a small cap). Footprints are what
-// the multi-consumer detection back-end schedules on — two batches with
-// disjoint page spans, distinct strands and no relation-mutation conflict
-// between them touch disjoint shadow words and make queries whose answers
-// are independent of each other's order, so they may be checked
-// concurrently without changing a single verdict or counter. Summarize
-// computes the footprint at seal time from the (already coalesced) ops in
-// one linear pass plus an insertion sort over the handful of spans.
+// A batch sealed for the multi-consumer detection back-end carries a
+// footprint: the strand that performed it plus a compact summary of the
+// shadow pages it touches (sorted, merged page spans, collapsed to their
+// hull past a small cap), and dependency stamps naming the relation
+// mutations recorded since the previous batch. Footprints are what the
+// consumer pool schedules on — two batches with disjoint page spans,
+// distinct strands and no relation-mutation conflict between them touch
+// disjoint shadow words and make queries whose answers are independent of
+// each other's order, so they may be checked concurrently without
+// changing a single verdict or counter. Summarize computes the footprint
+// at seal time from the (already coalesced) ops in one linear pass plus
+// an insertion sort over the handful of spans. Nothing else reads a
+// footprint or a stamp, so the engine computes them only when the
+// consumer pool runs (Consumers > 1); every other batch leaves with an
+// empty FP and no stamps.
 package event
 
 import (
@@ -161,7 +166,9 @@ type Batch struct {
 	// the multi-consumer back-end's reorder buffer delivers race reports
 	// in Seq order so the report stream is byte-identical to serial.
 	Seq uint64
-	// FP is the page footprint, computed by Summarize at seal time.
+	// FP is the page footprint, computed by Summarize at seal time when
+	// the consumer pool runs; empty otherwise. Barrier, ApplyBarrier and
+	// RetSpans are likewise stamped only for the consumer pool.
 	FP Footprint
 	// Barrier records that a relation mutation that can change existing
 	// query answers (a sync join or a future get) was recorded between the
@@ -334,17 +341,24 @@ func SplitOps(ops []Op, minWords int, pageBits uint) []OpChunk {
 // pairwise form of the condition the multi-consumer scheduler uses to
 // check batches concurrently. The footprint counters size the summaries
 // the scheduler works with.
+//
+// Footprints exist only under the consumer pool, so the five footprint
+// and independence counters are pool-only: they read 0 on every run
+// without one. They are counted at seal time, so they are deterministic
+// and identical across every pooled configuration.
 type Stats struct {
-	// Batches counts sealed non-empty batches handed to detection.
+	// Batches counts sealed non-empty batches handed to detection, on
+	// every pipeline.
 	Batches uint64
 	// IndependentBatches counts batches independent of their predecessor;
 	// SerializedBatches counts the rest (the first batch counts as
-	// serialized). Batches = IndependentBatches + SerializedBatches.
+	// serialized). Under the consumer pool, Batches = IndependentBatches +
+	// SerializedBatches. Pool-only.
 	IndependentBatches uint64
 	SerializedBatches  uint64
 	// FootprintSpans and FootprintPages total the page spans and pages
 	// summarized across all batch footprints; CollapsedFootprints counts
-	// batches whose summary fell back to the inexact hull.
+	// batches whose summary fell back to the inexact hull. Pool-only.
 	FootprintSpans      uint64
 	FootprintPages      uint64
 	CollapsedFootprints uint64
@@ -356,6 +370,24 @@ type Stats struct {
 	// deterministic, and equivalence comparisons zero them on both sides.
 	StolenChunks      uint64
 	OverlappedWindows uint64
+}
+
+// SplitPoolOnly prepares s for a comparison across pipeline
+// configurations of one run. It moves the pool-only counters out of s
+// and returns them, and zeroes the timing-dependent StolenChunks and
+// OverlappedWindows. What stays in s (Batches) is identical for every
+// configuration; the returned counters are zero without the consumer
+// pool and identical for every pooled configuration.
+func (s *Stats) SplitPoolOnly() Stats {
+	pool := Stats{
+		IndependentBatches:  s.IndependentBatches,
+		SerializedBatches:   s.SerializedBatches,
+		FootprintSpans:      s.FootprintSpans,
+		FootprintPages:      s.FootprintPages,
+		CollapsedFootprints: s.CollapsedFootprints,
+	}
+	*s = Stats{Batches: s.Batches}
+	return pool
 }
 
 var pool = sync.Pool{New: func() any { return &Batch{} }}

@@ -40,7 +40,8 @@ const (
 	SchedulerStall
 	// CorruptFootprint mangles a sealed batch's page-footprint summary
 	// before it reaches the scheduler, simulating a summarizer bug; the
-	// shadow install audit is what must catch the consequences.
+	// shadow install audit is what must catch the consequences. Only the
+	// consumer pool summarizes batches, so it never fires elsewhere.
 	CorruptFootprint
 	// PageFail fails a shadow page materialization (the allocation edge
 	// of the access history), on whichever goroutine first touches the

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"futurerd/internal/detect"
+	"futurerd/internal/event"
 	"futurerd/internal/trace"
 )
 
@@ -75,8 +76,9 @@ func parallelOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 // program: the dependency-scheduled consumer pool (Consumers ∈ {1,4} ×
 // Workers ∈ {1,4}) must reproduce the serial engine's report exactly —
 // same races in the same order, same protocol counters, same memo and
-// fast-path hits, same reachability traffic, same batch-pipeline stats.
-// A final config forces the intra-range fan-out under the consumer pool
+// fast-path hits, same reachability traffic, same batch count. The
+// pool-only footprint and independence counters must be zero without the
+// consumer pool and equal to a Consumers = 2 run's with it. A final config forces the intra-range fan-out under the consumer pool
 // with a tiny WorkerChunk and compares the verdict counters (per-chunk
 // memos legitimately change memo/query plumbing, exactly as in
 // parallelOne).
@@ -88,6 +90,20 @@ func consumersOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 	}).Run(p.Run)
 	if serial.Err != nil {
 		t.Fatalf("seed %d: serial err %v\n%s", seed, serial.Err, p)
+	}
+	// The pool-only footprint and independence counters are zero without
+	// the consumer pool and identical across pooled configurations; the
+	// Consumers = 2 run is their reference.
+	pooled := detect.NewEngine(detect.Config{
+		Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20, Consumers: 2,
+	}).Run(p.Run)
+	if pooled.Err != nil {
+		t.Fatalf("seed %d: c=2 reference err %v\n%s", seed, pooled.Err, p)
+	}
+	pe := pooled.Stats.Event
+	poolRef := pe.SplitPoolOnly()
+	if n := poolRef.IndependentBatches + poolRef.SerializedBatches; n != pe.Batches {
+		t.Fatalf("seed %d: c=2 reference classified %d of %d batches\n%s", seed, n, pe.Batches, p)
 	}
 	check := func(cfg detect.Config, full bool) {
 		rep := detect.NewEngine(cfg).Run(p.Run)
@@ -105,6 +121,18 @@ func consumersOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 			}
 		}
 		ss, cs := serial.Stats, rep.Stats
+		if sp := ss.Event.SplitPoolOnly(); sp != (event.Stats{}) {
+			t.Fatalf("seed %d: serial run computed pool-only counters %+v\n%s", seed, sp, p)
+		}
+		cp := cs.Event.SplitPoolOnly()
+		var want event.Stats
+		if cfg.Consumers > 1 {
+			want = poolRef
+		}
+		if cp != want {
+			t.Fatalf("seed %d [c=%d w=%d]: pool-only counters diverge\nwant %+v\ngot  %+v\n%s",
+				seed, cfg.Consumers, cfg.Workers, want, cp, p)
+		}
 		if !full {
 			sh, ch := ss.Shadow, cs.Shadow
 			if ss.RaceCount != cs.RaceCount || sh.Reads != ch.Reads || sh.Writes != ch.Writes ||
@@ -117,8 +145,6 @@ func consumersOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 		}
 		ss.Shadow.ParRanges, ss.Shadow.ParChunks, ss.Shadow.PageCacheHits = 0, 0, 0
 		cs.Shadow.ParRanges, cs.Shadow.ParChunks, cs.Shadow.PageCacheHits = 0, 0, 0
-		ss.Event.StolenChunks, ss.Event.OverlappedWindows = 0, 0
-		cs.Event.StolenChunks, cs.Event.OverlappedWindows = 0, 0
 		if ss.RaceCount != cs.RaceCount || ss.Shadow != cs.Shadow ||
 			ss.Reach != cs.Reach || ss.Event != cs.Event {
 			t.Fatalf("seed %d [c=%d w=%d]: stats diverge\nserial %+v\ngot    %+v\n%s",
@@ -415,11 +441,12 @@ func TestConsumersMatchSerialSeeds(t *testing.T) {
 // relies on: default programs are fully dependent (batches share page
 // zero), while a PageSpread sweep produces at least some independent
 // batches somewhere — otherwise the differential above proves nothing
-// about concurrent windows.
+// about concurrent windows. The independence classification is
+// pool-only, so the probes run with Consumers = 2.
 func TestConsumersSeedShapes(t *testing.T) {
 	dep := Generate(3, Options{Dialect: Structured, MaxStmts: 60})
 	rep := detect.NewEngine(detect.Config{Mode: detect.ModeMultiBags, Mem: detect.MemFull,
-		MaxRaces: 1 << 20}).Run(dep.Run)
+		MaxRaces: 1 << 20, Consumers: 2}).Run(dep.Run)
 	if rep.Err != nil {
 		t.Fatal(rep.Err)
 	}
@@ -431,7 +458,7 @@ func TestConsumersSeedShapes(t *testing.T) {
 	for seed := uint64(0); seed < 25; seed++ {
 		p := Generate(seed, Options{Dialect: General, MaxStmts: 60, PageSpread: true})
 		rep := detect.NewEngine(detect.Config{Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull,
-			MaxRaces: 1 << 20}).Run(p.Run)
+			MaxRaces: 1 << 20, Consumers: 2}).Run(p.Run)
 		if rep.Err != nil {
 			t.Fatalf("seed %d: %v", seed, rep.Err)
 		}
