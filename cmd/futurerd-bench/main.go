@@ -38,7 +38,6 @@ func main() {
 	validate := flag.Bool("validate", false, "re-validate outputs against sequential references")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
 	workers := flag.Int("workers", 0, "shadow range worker pool width for the detecting configs (<=1 serial)")
-	consumers := flag.Int("consumers", 0, "detection consumer pool width for the detecting configs (<=1 single consumer)")
 	traces := flag.String("traces", "traces", "directory of the committed trace corpus (replay table)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.Parse()
@@ -56,8 +55,7 @@ func main() {
 		os.Exit(2)
 	}
 	opts := bench.Options{
-		Iters: *iters, Size: sz, Validate: *validate,
-		Workers: *workers, Consumers: *consumers,
+		Iters: *iters, Size: sz, Validate: *validate, Workers: *workers,
 	}
 
 	type gen struct {
@@ -76,7 +74,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
 		os.Exit(1)
 	}
-	out := bench.JSONReport{Size: *size, Iters: opts.Iters, Workers: opts.Workers, Consumers: opts.Consumers}
+	out := bench.JSONReport{Size: *size, Iters: opts.Iters, Workers: opts.Workers}
 	ran := false
 	for _, g := range gens {
 		if *table != "all" && *table != g.name {

@@ -6,26 +6,16 @@
 // shared CI runners is noise. The run counters are different: for a given
 // input size, code version and (serial) configuration, the number of
 // shadow accesses, ownership skips, memo hits, epoch transfers and
-// inflations, reachability queries and races is exactly reproducible. Any unexplained change is a behavioral
-// regression — a fast path silently disabled, a protocol change leaking
-// extra queries, a race appearing — even when the timings look fine.
-// The overlapping scheduler's outcome counters (event.overlapped,
-// event.stolen) are the one exception: they are gated at zero for
-// serial documents but skipped when the documents were measured with a
-// consumer pool, where goroutine timing decides their values.
-// The two documents must also agree on the algorithm set: a table family
+// inflations, reachability queries and races is exactly reproducible.
+// Any unexplained change is a behavioral regression — a fast path
+// silently disabled, a protocol change leaking extra queries, a race
+// appearing — even when the timings look fine. The two documents must also agree on the algorithm set: a table family
 // (fig6, fig7, vc, ...) present on one side only is a named hard failure,
 // not a silent row skip — adding a back-end without regenerating the
 // baseline would otherwise pass the gate with the new rows unchecked.
-// Batch footprints and the independence classification are computed
-// only by the consumer pool, so their counters (event.independent,
-// event.serialized, event.fpspans, event.fppages, event.collapsed) read
-// zero in serial documents; a second baseline measured with
-// -consumers 2 gates them. Intentional changes regenerate the baselines
-// in the same commit:
+// Intentional changes regenerate the baseline in the same commit:
 //
 //	go run ./cmd/futurerd-bench -json -size test -iters 1 > BENCH_baseline.json
-//	go run ./cmd/futurerd-bench -json -size test -iters 1 -consumers 2 > BENCH_baseline_consumers.json
 //
 // Usage:
 //
@@ -99,25 +89,7 @@ func counterRow(m *bench.Measurement) map[string]uint64 {
 		"shadow.sampled":     s.Shadow.SampledAccesses,
 		"shadow.budgetskips": s.Shadow.SkippedByBudget,
 		"event.batches":      s.Event.Batches,
-		"event.independent":  s.Event.IndependentBatches,
-		"event.serialized":   s.Event.SerializedBatches,
-		"event.fpspans":      s.Event.FootprintSpans,
-		"event.fppages":      s.Event.FootprintPages,
-		"event.collapsed":    s.Event.CollapsedFootprints,
-		"event.overlapped":   s.Event.OverlappedWindows,
-		"event.stolen":       s.Event.StolenChunks,
 	}
-}
-
-// timingDependent lists counter rows that are scheduling outcomes rather
-// than functions of the input: deterministically zero for serial runs —
-// where the gate holds them at zero — but dependent on goroutine timing
-// once a consumer pool races the overlapping scheduler, so for
-// consumer-pool documents (Consumers > 1) they are skipped instead of
-// gated.
-var timingDependent = map[string]bool{
-	"event.overlapped": true,
-	"event.stolen":     true,
 }
 
 func key(m *bench.Measurement) string {
@@ -176,10 +148,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if base.Size != cur.Size || base.Workers != cur.Workers || base.Consumers != cur.Consumers {
+	if base.Size != cur.Size || base.Workers != cur.Workers {
 		fmt.Fprintf(os.Stderr,
-			"configuration mismatch: baseline size=%s workers=%d consumers=%d, current size=%s workers=%d consumers=%d\n",
-			base.Size, base.Workers, base.Consumers, cur.Size, cur.Workers, cur.Consumers)
+			"configuration mismatch: baseline size=%s workers=%d, current size=%s workers=%d\n",
+			base.Size, base.Workers, cur.Size, cur.Workers)
 		os.Exit(1)
 	}
 
@@ -218,9 +190,6 @@ func main() {
 		}
 		checked++
 		for name, want := range bc {
-			if cur.Consumers > 1 && timingDependent[name] {
-				continue
-			}
 			if got := cc[name]; got != want {
 				fails++
 				fmt.Printf("DRIFT  %s: %s = %d, baseline %d (%+d)\n",

@@ -4,11 +4,11 @@
 //	futurerd-trace run    -bench lcs [-variant structured|general]
 //	                      [-mode multibags|multibags+|spbags|oracle|vc]
 //	                      [-size test|quick|bench] [-mem off|instr|full]
-//	                      [-workers n] [-consumers n] [-dot]
+//	                      [-workers n] [-dot]
 //	futurerd-trace record -bench lcs [-variant ...] [-size ...]
 //	                      [-format v2|v1] -o trace.bin
 //	futurerd-trace replay -i trace.bin [-mode ...] [-mem ...] [-workers n]
-//	                      [-consumers n] [-recover]
+//	                      [-recover]
 //	futurerd-trace stat   -i trace.bin
 //
 // Every subcommand also takes -cpuprofile file, which writes a CPU
@@ -182,21 +182,7 @@ func printReport(rep *futurerd.Report, ml futurerd.MemLevel) {
 			fmt.Printf("par fan-outs    %d ranges, %d chunks\n",
 				s.Shadow.ParRanges, s.Shadow.ParChunks)
 		}
-		fmt.Printf("batches         %d sealed", s.Event.Batches)
-		if s.Event.FootprintSpans > 0 {
-			fmt.Printf(" (%d independent, %d serialized)\n",
-				s.Event.IndependentBatches, s.Event.SerializedBatches)
-			fmt.Printf("footprints      %d spans over %d pages",
-				s.Event.FootprintSpans, s.Event.FootprintPages)
-			if s.Event.CollapsedFootprints > 0 {
-				fmt.Printf(" (%d collapsed to hull)", s.Event.CollapsedFootprints)
-			}
-			fmt.Println()
-		} else {
-			// Only the consumer pool summarizes and classifies batches.
-			fmt.Println(" (independence: consumer pool only)")
-			fmt.Println("footprints      (consumer pool only)")
-		}
+		fmt.Printf("batches         %d sealed\n", s.Event.Batches)
 	}
 	for _, r := range rep.Races {
 		fmt.Printf("  %s\n", r)
@@ -211,14 +197,13 @@ func cmdRun(args []string) {
 	size := parseSize(fs)
 	mem := fs.String("mem", "full", "memory level: off, instr, full")
 	workers := fs.Int("workers", 0, "shadow range worker pool width (<=1 serial)")
-	consumers := fs.Int("consumers", 0, "detection consumer pool width (<=1 single consumer)")
 	dot := fs.Bool("dot", false, "dump the computation dag as Graphviz (oracle mode)")
 	defer parseWithProfile(fs, args)()
 
 	mk := lookup(*benchName, *variant, sizeClass(*size))
 	m, ml := parseMode(*mode), parseMem(*mem)
 	w := mk()
-	rep := futurerd.Detect(futurerd.Config{Mode: m, Mem: ml, Workers: *workers, Consumers: *consumers}, w.Run)
+	rep := futurerd.Detect(futurerd.Config{Mode: m, Mem: ml, Workers: *workers}, w.Run)
 	if rep.Err != nil {
 		fail(fmt.Errorf("engine error: %w", rep.Err))
 	}
@@ -283,7 +268,6 @@ func cmdReplay(args []string) {
 	mode := fs.String("mode", "multibags+", "algorithm: multibags, multibags+, spbags, oracle, vc")
 	mem := fs.String("mem", "full", "memory level: off, instr, full")
 	workers := fs.Int("workers", 0, "shadow range worker pool width (<=1 serial)")
-	consumers := fs.Int("consumers", 0, "detection consumer pool width (<=1 single consumer)")
 	recover := fs.Bool("recover", false,
 		"replay the longest well-formed prefix of a damaged trace instead of failing")
 	defer parseWithProfile(fs, args)()
@@ -297,7 +281,7 @@ func cmdReplay(args []string) {
 		fail(err)
 	}
 	defer f.Close()
-	cfg := futurerd.Config{Mode: m, Mem: ml, Workers: *workers, Consumers: *consumers}
+	cfg := futurerd.Config{Mode: m, Mem: ml, Workers: *workers}
 	var rep *futurerd.Report
 	if *recover {
 		rep, err = futurerd.ReplayTraceRecover(f, cfg, futurerd.TraceLimits{})

@@ -78,59 +78,30 @@
 //
 // # Event pipeline
 //
-// The detection stack is front-ends → batcher → scheduler → consumer
-// pool. Every execution front-end (a live program under Detect, a
-// recorded trace under ReplayTrace, a generated workload) appends its
-// accesses to coalescing event batches (internal/event): contiguous
-// same-kind accesses merge into ranges before they reach the shadow
-// layer, so even word-at-a-time code pays the per-range, not per-word,
-// cost. Batches are sealed at parallel constructs — where the
-// reachability relation is about to mutate — so everything in one batch
-// executed under a single immutable relation. Under the consumer pool
-// each also leaves with a footprint — its strand plus a compact summary
-// of the shadow pages it touches — and dependency stamps for the
-// construct mutations recorded since the previous batch; only the pool's
-// scheduler reads them, so no other configuration computes them. With
-// Config.Workers > 1 or Config.Consumers > 1 sealed batches are checked
-// off the engine goroutine, overlapping continued program execution,
-// and constructs do not wait for them: the relation
+// The detection stack is front-ends → batcher → back-end. Every
+// execution front-end (a live program under Detect, a recorded trace
+// under ReplayTrace, a generated workload) appends its accesses to
+// coalescing event batches (internal/event): contiguous same-kind
+// accesses merge into ranges before they reach the shadow layer, so even
+// word-at-a-time code pays the per-range, not per-word, cost. Batches
+// are sealed at parallel constructs — where the reachability relation is
+// about to mutate — so everything in one batch executed under a single
+// immutable relation and a single strand.
+//
+// By default each sealed batch is checked inline on the engine
+// goroutine. With Config.Workers > 1 sealed batches are instead checked
+// by one back-end goroutine, in seal order, overlapping continued
+// program execution, and constructs do not wait for them: the relation
 // is versioned (core.Versioned), constructs record their mutations into
 // a bounded log, each batch carries the version it executed under, and
-// the back-end replays mutations before checking. The engine runs ahead
-// of detection until the construct-ahead window (Config.ConstructAhead)
-// back-pressures.
-//
-// With Config.Consumers > 1 the back-end is a dependency-scheduled
-// consumer pool with overlapping windows. Construct mutations are
-// classified by whether they fold the relation: spawn, create and init
-// only add nodes, so they are pin-safe and apply under live snapshot
-// pins (core.Versioned's pin-epoch model), while sync joins and future
-// gets fold reachability state and barrier until the pool is quiescent.
-// The scheduler publishes each sealed batch's relation version as soon
-// as its mutations allow — even while earlier flights are still being
-// checked — and dispatches, in seal order, every published batch whose
-// page footprint, strand and return-span conflicts are disjoint from
-// the outstanding flights. Successive windows therefore overlap:
-// window N+1's version is live and its batches in flight while window N
-// drains (Stats.Event.OverlappedWindows counts versions published over
-// an outstanding flight). Large batches additionally split at
-// page-disjoint cut points into chunk descriptors
-// (Config.StealChunkWords tunes the granule) that idle consumers steal
-// (Stats.Event.StolenChunks); delivery reassembles chunk verdicts in
-// order, so reports stay order-identical. Dependent batches serialize
-// in seal order, so a construct-dense program degenerates to the
-// single-consumer pipeline rather than deadlocking. A sequence-numbered reorder buffer in front of OnRace
-// delivers race reports in seal order. CheckStructured's discipline
-// query no longer drains the pipeline either: it is deferred and
-// answered from the versioned snapshot in stream order (a violation is
-// recorded, never acted on, so nothing needs the answer eagerly).
-// Verdicts, report order and deterministic counters are identical to a
-// synchronous run for every Workers × Consumers combination, except the
-// five pool-only Stats.Event footprint and independence counters, which
-// read 0 without the pool and are identical across every Consumers > 1
-// configuration; a shadow
-// install audit asserts the disjoint-footprint invariant at run time and
-// the -race CI suite drives it.
+// the back-end replays mutations up to exactly that version before
+// checking. The engine runs ahead of detection until the construct-ahead
+// window (Config.ConstructAhead) back-pressures. CheckStructured's
+// discipline query does not drain the pipeline either: it is deferred
+// and answered from the versioned snapshot in stream order (a violation
+// is recorded, never acted on, so nothing needs the answer eagerly).
+// Seal-order checking keeps verdicts, report order and deterministic
+// counters identical to a synchronous run for every Workers setting.
 //
 // # Traces
 //
@@ -154,10 +125,8 @@
 // reports are identical, in content and order, to a serial run; Workers
 // <= 1 (the default) keeps every access on the exact serial path. The
 // pool engages for SP-Bags, MultiBags, MultiBags+ and VectorClocks;
-// oracle and Verify runs always stay serial. Config.WorkerChunk tunes the chunk granule.
-// Workers composes with Consumers: Workers parallelizes within one bulk
-// range, Consumers across independent batches, and both share one worker
-// pool.
+// oracle and Verify runs always stay serial. Config.WorkerChunk tunes
+// the chunk granule.
 //
 // # Failure model
 //

@@ -40,7 +40,6 @@ type JSONReport struct {
 	Size         string        `json:"size"`
 	Iters        int           `json:"iters"`
 	Workers      int           `json:"workers,omitempty"`
-	Consumers    int           `json:"consumers,omitempty"`
 	Measurements []Measurement `json:"measurements"`
 }
 
@@ -76,10 +75,6 @@ type Options struct {
 	// ranges fan out across a shadow worker pool of this width. <=1 keeps
 	// the serial path.
 	Workers int
-	// Consumers sets Config.Consumers for the detecting configurations:
-	// independent sealed batches are checked concurrently by a consumer
-	// pool of this width. <=1 keeps the single-consumer back-end.
-	Consumers int
 }
 
 func (o *Options) defaults() {
@@ -145,8 +140,7 @@ func timeRun(opts Options, ins workloads.Instance, mode futurerd.Mode, mem futur
 		return time.Since(start), nil
 	}
 	rep := futurerd.Detect(futurerd.Config{
-		Mode: mode, Mem: mem,
-		Workers: opts.Workers, Consumers: opts.Consumers,
+		Mode: mode, Mem: mem, Workers: opts.Workers,
 	}, ins.Run)
 	return time.Since(start), rep
 }
@@ -275,43 +269,6 @@ func footprint(rep *futurerd.Report) string {
 	return fmt.Sprintf("%.1fMB", float64(b)/(1<<20))
 }
 
-// indepPct renders the fraction of sealed batches classified independent
-// of their predecessor — the (deterministic) pairwise form of the
-// multi-consumer scheduler's concurrency condition, so it reads as "how
-// much of this workload's batch stream a consumer pool can overlap".
-// Only the consumer pool classifies batches; without one it renders "-".
-func indepPct(rep *futurerd.Report) string {
-	if rep == nil {
-		return "-"
-	}
-	ev := rep.Stats.Event
-	if classified := ev.IndependentBatches + ev.SerializedBatches; classified > 0 {
-		return fmt.Sprintf("%.0f%%", 100*float64(ev.IndependentBatches)/float64(classified))
-	}
-	return "-"
-}
-
-// overlapped / stolen render the overlapping scheduler's outcome
-// counters: relation versions published while an earlier window was
-// still in flight, and chunks of a split batch checked away from the
-// consumer that took the batch's head. Both are scheduling outcomes —
-// deterministically zero for serial runs, timing-dependent once a
-// consumer pool races the scheduler — so they are surfaced here but
-// excluded from the benchtrend drift gate for consumer-pool documents.
-func overlapped(rep *futurerd.Report) string {
-	if rep == nil {
-		return "-"
-	}
-	return fmt.Sprintf("%d", rep.Stats.Event.OverlappedWindows)
-}
-
-func stolen(rep *futurerd.Report) string {
-	if rep == nil {
-		return "-"
-	}
-	return fmt.Sprintf("%d", rep.Stats.Event.StolenChunks)
-}
-
 // figure runs one of the paper's overhead tables (Figure 6 for structured
 // variants under MultiBags, Figure 7 for general variants under
 // MultiBags+).
@@ -319,7 +276,7 @@ func figure(opts Options, name, title string, mode futurerd.Mode, pick func(work
 	opts.defaults()
 	t := &Table{
 		Title:  title,
-		Header: []string{"bench", "baseline", "reach", "", "instr", "", "full", "", "owned", "rdshare", "epoch", "indep", "ovlp", "stolen", "shadow"},
+		Header: []string{"bench", "baseline", "reach", "", "instr", "", "full", "", "owned", "rdshare", "epoch", "shadow"},
 	}
 	var ms []Measurement
 	var reachR, instrR, fullR []float64
@@ -337,8 +294,7 @@ func figure(opts Options, name, title string, mode futurerd.Mode, pick func(work
 			secs(reach), ratio(reach, base),
 			secs(instr), ratio(instr, base),
 			secs(full), ratio(full, base),
-			ownedPct(fullRep), readSharedPct(fullRep), epochPct(fullRep), indepPct(fullRep),
-			overlapped(fullRep), stolen(fullRep), footprint(fullRep),
+			ownedPct(fullRep), readSharedPct(fullRep), epochPct(fullRep), footprint(fullRep),
 		})
 		ms = append(ms,
 			Measurement{Figure: name, Bench: b.Name, Config: "baseline", Seconds: base.Seconds()},
@@ -365,11 +321,6 @@ func figure(opts Options, name, title string, mode futurerd.Mode, pick func(work
 		"owned/rdshare = full-config accesses resolved by the shadow owned-word and",
 		"read-shared epoch fast paths (disjoint; each access counts at most once);",
 		"epoch = accesses whose writer query a cross-generation stamp transfer paid;",
-		"indep = sealed batches independent of their predecessor (what a multi-",
-		"consumer back-end can check concurrently; only the pool classifies, so",
-		"\"-\" without -consumers > 1); ovlp/stolen = windows published",
-		"over an in-flight predecessor and chunks checked by a non-primary consumer",
-		"(scheduling outcomes: zero for serial runs, timing-dependent with a pool);",
 		"shadow = resident shadow footprint (touched pages at 12 B/word + spilled reader",
 		"entries; live entries, not reader-arena capacity)")
 	return t, ms, nil
@@ -433,7 +384,7 @@ func FigReplay(opts Options, dir string) (*Table, []Measurement, error) {
 		}
 		cfg := futurerd.Config{
 			Mode: futurerd.ModeMultiBagsPlus, Mem: futurerd.MemFull,
-			Workers: opts.Workers, Consumers: opts.Consumers,
+			Workers: opts.Workers,
 		}
 		best := time.Duration(math.MaxInt64)
 		var rep *futurerd.Report

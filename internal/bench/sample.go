@@ -50,7 +50,7 @@ func FigSample(opts Options) (*Table, []Measurement, error) {
 			start := time.Now()
 			r := futurerd.Detect(futurerd.Config{
 				Mode: futurerd.ModeMultiBagsPlus, Mem: futurerd.MemFull,
-				Workers: opts.Workers, Consumers: opts.Consumers,
+				Workers:  opts.Workers,
 				MaxRaces: 1 << 20, Sampling: smp,
 			}, ins.Run)
 			d := time.Since(start)

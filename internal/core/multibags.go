@@ -35,10 +35,8 @@ type MultiBags struct {
 	st *StrandTable
 	uf *ds.UnionFind
 	// tag is per function id, authoritative only at set roots. Published
-	// (ds.PubSlice) because pin-safe mutations grow and write it while
-	// concurrent Precedes readers hold snapshots; every index a pin-safe
-	// mutation writes belongs to a set no concurrently pinned query can
-	// reach (fresh function, or the scheduler-excluded return subtree).
+	// (ds.PubSlice) so concurrent Precedes readers index a consistent
+	// snapshot.
 	tag ds.PubSlice[byte]
 
 	queries uint64
@@ -93,10 +91,10 @@ func (m *MultiBags) join(parent, child FnID) {
 }
 
 // Precedes implements Reach (Figure 1, Query): u ≺ v iff u's function is
-// currently in an S-bag. Safe for concurrent use even while pin-safe
-// mutations apply: the union-find read uses CAS-compressed FindRO on the
-// published parent snapshot, the tag array is read through a published
-// snapshot, and the query counter is atomic.
+// currently in an S-bag. Safe for concurrent use between constructs: the
+// union-find read uses CAS-compressed FindRO on the published parent
+// snapshot, the tag array is read through a published snapshot, and the
+// query counter is atomic.
 func (m *MultiBags) Precedes(u, _ StrandID) bool {
 	atomic.AddUint64(&m.queries, 1)
 	root := m.uf.FindRO(uint32(m.st.FnOf(u)))
@@ -132,22 +130,6 @@ func (m *MultiBags) EpochOrdered(u, v StrandID) bool {
 	}
 	root := m.uf.FindRO(uint32(m.st.FnOf(u)))
 	return m.tag.RO()[root] == tagS
-}
-
-// PinSafeMut implements PinConcurrent. Spawn and create make fresh
-// singleton S-bags; init is the very first mutation; a return retags the
-// returning function's set root P, which only changes answers for strands
-// of that function's subtree — exactly the strands the scheduler's
-// return-span rule keeps out of concurrently pinned batches. Joins and
-// gets union a P-bag into an S-bag and retag S, which flips answers for
-// strands concurrent queries may legitimately hold, so they remain
-// barriers.
-func (m *MultiBags) PinSafeMut(op MutOp) bool {
-	switch op {
-	case MutInit, MutSpawn, MutCreate, MutReturn:
-		return true
-	}
-	return false
 }
 
 // Stats implements Reach.

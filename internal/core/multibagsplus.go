@@ -34,10 +34,8 @@ type MultiBagsPlus struct {
 	// Per-strand payloads, authoritative at DNSP roots only.
 	// att is the R-node id of an attached set, or -1 for unattached.
 	// attPred/attSucc are R-node ids; attSucc may be -1 ("null").
-	// Published (ds.PubSlice) because the pin-safe mutations (spawn,
-	// return) grow and write them while concurrent Precedes readers hold
-	// snapshots; pin-safe writes only touch fresh strand indices no
-	// in-flight query can name.
+	// Published (ds.PubSlice) so concurrent Precedes readers index a
+	// consistent snapshot.
 	att     ds.PubSlice[int32]
 	attPred ds.PubSlice[int32]
 	attSucc ds.PubSlice[int32]
@@ -268,12 +266,10 @@ func (m *MultiBagsPlus) SyncJoin(r JoinRec) {
 // u's function is in an S-bag, or the (possibly proxied) attached sets of
 // u and v are ordered in R.
 //
-// Safe for concurrent use even while pin-safe mutations (spawn, return)
-// apply: both disjoint-set reads go through CAS-compressed FindRO on
-// published parent snapshots, the per-strand payload arrays are read
-// through published snapshots (pin-safe writes only touch fresh strand
-// indices), R's transitive closure only mutates at barrier constructs,
-// and the counters are atomic.
+// Safe for concurrent use between constructs: both disjoint-set reads go
+// through CAS-compressed FindRO on published parent snapshots, the
+// per-strand payload arrays are read through published snapshots, and the
+// counters are atomic.
 func (m *MultiBagsPlus) Precedes(u, v StrandID) bool {
 	atomic.AddUint64(&m.queries, 1)
 	return m.ordered(u, v)
@@ -337,21 +333,6 @@ func (m *MultiBagsPlus) EpochOrdered(u, v StrandID) bool {
 		return true
 	}
 	return m.ordered(u, v)
-}
-
-// PinSafeMut implements PinConcurrent. Only spawn and return qualify:
-// spawn makes a fresh DSP S-bag and two fresh unattached DNSP singletons
-// (no union, no R mutation), and return retags the DSP root of the
-// returning function's subtree, which the scheduler's return-span rule
-// keeps out of concurrently pinned batches. Init, create_fut, get_fut and
-// sync all add R nodes or arcs (mutating the transitive closure concurrent
-// queries read) or fold DNSP sets, so they remain barriers.
-func (m *MultiBagsPlus) PinSafeMut(op MutOp) bool {
-	switch op {
-	case MutSpawn, MutReturn:
-		return true
-	}
-	return false
 }
 
 // Stats implements Reach.

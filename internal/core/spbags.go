@@ -32,9 +32,7 @@ type SPBags struct {
 	st *StrandTable
 	uf *ds.UnionFind
 	// tag is per element, authoritative at roots. Published (ds.PubSlice)
-	// because pin-safe mutations grow and write it while concurrent
-	// Precedes readers hold snapshots; every index a pin-safe mutation
-	// writes belongs to a set no concurrently pinned query can reach.
+	// so concurrent Precedes readers index a consistent snapshot.
 	tag ds.PubSlice[byte]
 
 	// anchor[f] is the element created when f started; it stays a valid
@@ -102,13 +100,8 @@ func (m *SPBags) CreateFut(r CreateRec) { m.enterFn(r.FutFn) }
 
 // Return implements Reach: P_parent = Union(P_parent, S_child).
 //
-// The child's root is tagged P *before* any union so the write is ordered
-// before the union's atomic parent store: a concurrently pinned reader
-// (whose strands the scheduler's return-span rule keeps outside the
-// child's subtree) can only reach the child's root after observing that
-// store, so it observes the tag too. The parent's existing P-bag root is
-// never re-tagged — it is already P by the pElem invariant, and a
-// same-value rewrite would still race with concurrent readers.
+// The child's root is tagged P *before* any union. The parent's existing
+// P-bag root is never re-tagged: it is already P by the pElem invariant.
 func (m *SPBags) Return(r ReturnRec) {
 	if r.ParentFn == NoFn {
 		return // main returning; nothing joins it
@@ -144,9 +137,9 @@ func (m *SPBags) foldP(f FnID) {
 	m.pElem[f] = noElem
 }
 
-// Precedes implements Reach. Safe for concurrent use even while pin-safe
-// mutations apply (CAS-compressed find on the published parent snapshot,
-// atomic counter, tag/anchor read through published snapshots).
+// Precedes implements Reach. Safe for concurrent use between constructs
+// (CAS-compressed find on the published parent snapshot, atomic counter,
+// tag/anchor read through published snapshots).
 func (m *SPBags) Precedes(u, _ StrandID) bool {
 	atomic.AddUint64(&m.queries, 1)
 	f := m.st.FnOf(u)
@@ -171,21 +164,6 @@ func (m *SPBags) ConcurrentPrecedesSafe() bool { return true }
 // futures included.
 func (m *SPBags) EpochOrdered(u, v StrandID) bool {
 	return u != NoStrand && u < v && m.st.FnOf(u) == m.st.FnOf(v)
-}
-
-// PinSafeMut implements PinConcurrent. Init, spawn and create only make
-// fresh bags no in-flight query can name; a return folds the child's
-// subtree bag into the parent's P-bag, which is safe because the
-// scheduler's return-span rule keeps every strand of that subtree out of
-// concurrently pinned batches. Joins and gets fold the P-bag into the
-// S-bag — flipping answers for strands concurrent queries may hold — so
-// they wait for pin drain.
-func (m *SPBags) PinSafeMut(op MutOp) bool {
-	switch op {
-	case MutInit, MutSpawn, MutCreate, MutReturn:
-		return true
-	}
-	return false
 }
 
 // Stats implements Reach.

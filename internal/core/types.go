@@ -55,16 +55,10 @@ type CreateRec struct {
 // ReturnRec reports that function Fn finished executing; Last is its final
 // strand (the sink of its SP dag). ParentFn is the function that spawned
 // or created Fn (needed by the SP-Bags baseline, whose return rule moves
-// the child's bag into the parent's P-bag). First is the function's first
-// strand; the engine allocates strand ids densely in depth-first execution
-// order, so [First, Last] spans every strand of Fn's subtree — the
-// multi-consumer scheduler uses the span to decide which in-flight batches
-// a return's bag retagging could affect. The reachability algorithms
-// ignore it.
+// the child's bag into the parent's P-bag).
 type ReturnRec struct {
 	Fn       FnID
 	ParentFn FnID
-	First    StrandID
 	Last     StrandID
 }
 
@@ -140,27 +134,6 @@ type QueryConcurrent interface {
 	// ConcurrentPrecedesSafe reports whether concurrent Precedes calls
 	// are safe between constructs.
 	ConcurrentPrecedesSafe() bool
-}
-
-// PinConcurrent is the optional capability interface for Reach
-// implementations that can additionally apply *fold-free* construct
-// mutations while concurrent Precedes calls are in flight — the lever
-// behind the overlapping-window scheduler. A mutation op qualifies when
-// applying it can only add fresh dag structure (new strands, new
-// functions, new singleton sets) or move structure in ways no concurrent
-// query can observe: it must never fold two sets an in-flight query could
-// distinguish, nor rewrite an element a query could read mid-update.
-// Implementations back this with published-slice growth (ds.PubSlice) and
-// atomic union-find parent access, so readers on a stale snapshot see a
-// consistent older version of the relation.
-//
-// A Reach that does not implement PinConcurrent gets the conservative
-// behavior: every mutation is a scheduling barrier, which degrades to the
-// strict quiescent-epoch pipeline.
-type PinConcurrent interface {
-	// PinSafeMut reports whether mutations of the given op kind may be
-	// applied while snapshot pins are held.
-	PinSafeMut(op MutOp) bool
 }
 
 // EpochConcurrent is the optional capability interface behind the shadow

@@ -33,8 +33,7 @@ type vcStamp struct{ slot, tick uint32 }
 // C(r)[s] = max(base[s], own if s==own.slot, aux if s==aux.slot), each
 // override at least the base entry by the slot-chain invariant, so lookup
 // is a two-compare dispatch, never a max. A strand's rep is written once,
-// before the strand is published, and never mutated — that immutability
-// is what makes every construct mutation pin-safe.
+// before the strand is published, and never mutated.
 type vcRep struct {
 	base    uint32 // index into vecs; vector 0 is empty
 	own     vcStamp
@@ -80,11 +79,7 @@ type slotState struct {
 // Concurrency: strand reps and base vectors are immutable once published
 // (ds.PubSlice growth; fresh indices only), so Precedes and EpochOrdered
 // are safe from any number of goroutines between constructs
-// (QueryConcurrent) — and, stronger, every construct mutation is
-// fold-free (PinConcurrent's mask is all-true): a mutation only writes
-// reps of strands no pinned query can name yet, plus writer-private slot
-// state no query reads. The overlapping-window scheduler therefore never
-// drains pins to advance this relation.
+// (QueryConcurrent).
 type VectorClocks struct {
 	st   *StrandTable
 	reps ds.PubSlice[vcRep]
@@ -332,8 +327,7 @@ func (v *VectorClocks) join(branch, cur, next StrandID) {
 
 // ordered is the one clock comparison behind Precedes and EpochOrdered:
 // u ≼ v iff v's clock has reached u's epoch. All loads go through
-// published snapshots, so it is safe concurrently with pin-safe mutations
-// — which for this back-end is every mutation.
+// published snapshots, so it is safe from concurrent readers.
 func (v *VectorClocks) ordered(u, w StrandID) bool {
 	atomic.AddUint64(&v.compares, 1)
 	reps := v.reps.RO()
@@ -356,16 +350,6 @@ func (v *VectorClocks) Precedes(u, w StrandID) bool {
 
 // ConcurrentPrecedesSafe implements QueryConcurrent.
 func (v *VectorClocks) ConcurrentPrecedesSafe() bool { return true }
-
-// PinSafeMut implements PinConcurrent: every vector-clock mutation is
-// fold-free. Constructs only write the reps of strands created by that
-// construct — ids no concurrently pinned batch can name — plus fresh base
-// vectors and writer-private slot state; the rep and base vector of every
-// published strand are immutable, so no mutation can change the
-// precedence between strands an in-flight query is entitled to ask about.
-// Joins and gets remain scheduling barriers for batch dependencies, but
-// the relation itself never needs a pin drain to advance.
-func (v *VectorClocks) PinSafeMut(MutOp) bool { return true }
 
 // EpochOrdered implements EpochConcurrent: the same clock comparison,
 // without the query counter (stamp transfers replace queries rather than

@@ -64,7 +64,7 @@ func TestClockCompaction(t *testing.T) {
 		st.Add(cont, 1)
 		st.Add(join, 1)
 		v.Spawn(SpawnRec{ParentFn: 1, ChildFn: fn, Fork: fork, ChildFirst: child, ContFirst: cont})
-		v.Return(ReturnRec{Fn: fn, ParentFn: 1, First: child, Last: child})
+		v.Return(ReturnRec{Fn: fn, ParentFn: 1, Last: child})
 		v.SyncJoin(JoinRec{Fn: 1, ChildFn: fn, Fork: fork, ChildFirst: child,
 			ContFirst: cont, ChildLast: child, ContLast: cont, Join: join})
 		if !v.Precedes(child, join) {
@@ -104,7 +104,7 @@ func TestClockWidthTracksFanOut(t *testing.T) {
 		st.Add(child, fn)
 		st.Add(cont, 1)
 		v.CreateFut(CreateRec{ParentFn: 1, FutFn: fn, Creator: s, FutFirst: child, ContFirst: cont})
-		v.Return(ReturnRec{Fn: fn, ParentFn: 1, First: child, Last: child})
+		v.Return(ReturnRec{Fn: fn, ParentFn: 1, Last: child})
 		s = cont
 	}
 	w := v.Stats().ClockWidth
@@ -166,7 +166,7 @@ func TestClockPoolAdapts(t *testing.T) {
 		st.Add(child, fn)
 		st.Add(cont, 1)
 		v.Spawn(SpawnRec{ParentFn: 1, ChildFn: fn, Fork: s, ChildFirst: child, ContFirst: cont})
-		v.Return(ReturnRec{Fn: fn, ParentFn: 1, First: child, Last: child})
+		v.Return(ReturnRec{Fn: fn, ParentFn: 1, Last: child})
 		children = append(children, struct {
 			fn          FnID
 			first, cont StrandID
@@ -200,10 +200,10 @@ func TestClockPoolAdapts(t *testing.T) {
 		st.Add(futCont, futFn)
 		st.Add(futJoin, futFn)
 		v.Spawn(SpawnRec{ParentFn: futFn, ChildFn: subFn, Fork: futFirst, ChildFirst: sub, ContFirst: futCont})
-		v.Return(ReturnRec{Fn: subFn, ParentFn: futFn, First: sub, Last: sub})
+		v.Return(ReturnRec{Fn: subFn, ParentFn: futFn, Last: sub})
 		v.SyncJoin(JoinRec{Fn: futFn, ChildFn: subFn, Fork: futFirst, ChildFirst: sub,
 			ContFirst: futCont, ContLast: futCont, ChildLast: sub, Join: futJoin})
-		v.Return(ReturnRec{Fn: futFn, ParentFn: 1, First: futFirst, Last: futJoin})
+		v.Return(ReturnRec{Fn: futFn, ParentFn: 1, Last: futJoin})
 		s = cont
 	}
 
@@ -219,9 +219,8 @@ func TestClockPoolAdapts(t *testing.T) {
 }
 
 // TestVectorClocksCapabilities pins the full concurrency surface: shadow
-// worker fan-out (QueryConcurrent), an all-true pin-safe mutation mask
-// (PinConcurrent — every vc mutation is fold-free), and cross-generation
-// stamp transfer (EpochConcurrent) that never counts as a query.
+// worker fan-out (QueryConcurrent) and cross-generation stamp transfer
+// (EpochConcurrent) that never counts as a query.
 func TestVectorClocksCapabilities(t *testing.T) {
 	st := newTable(8)
 	addStrands(st, 1, 2, 1, 1)
@@ -234,15 +233,6 @@ func TestVectorClocksCapabilities(t *testing.T) {
 	qc, ok := r.(QueryConcurrent)
 	if !ok || !qc.ConcurrentPrecedesSafe() {
 		t.Fatal("vc must advertise concurrent-query safety")
-	}
-	pc, ok := r.(PinConcurrent)
-	if !ok {
-		t.Fatal("vc must implement PinConcurrent")
-	}
-	for op := MutInit; op <= MutGet; op++ {
-		if !pc.PinSafeMut(op) {
-			t.Fatalf("vc mutation %v not pin-safe; all vc mutations are fold-free", op)
-		}
 	}
 	ec, ok := r.(EpochConcurrent)
 	if !ok {

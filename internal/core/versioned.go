@@ -20,30 +20,9 @@
 // submitting an empty version-bearing batch (a "nudge") before it can
 // block, so a construct-dense stretch with no memory traffic still makes
 // progress.
-//
-// # Concurrent snapshot reads and pin-safe mutations
-//
-// With a multi-consumer back-end several goroutines query the underlying
-// Reach at once, each under a pinned version: the scheduler applies
-// mutations up to a batch's version, calls Pin, dispatches the batch to
-// the consumer pool, and calls Unpin when its consumers finish. While a
-// pin is held the relation may still advance — but only by mutations the
-// recorder stamped PinSafe (fold-free constructs: spawn, create, init,
-// and single-strand returns, which only add fresh dag structure and never
-// fold existing relations together). The Reach advertises which operation
-// kinds qualify through the PinConcurrent capability; applying anything
-// else under a live pin is a detector bug and ApplyTo panics. A pinned
-// reader therefore sees either its own version or a fold-free extension
-// of it, and both answer every query the reader is entitled to ask
-// identically: the strands a pinned batch can name were all published at
-// or before its version, and fold-free mutations never change the
-// precedence between already-published strands.
 package core
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // MutOp tags one recorded construct mutation.
 type MutOp uint8
@@ -70,11 +49,6 @@ type Mut struct {
 	Return ReturnRec
 	Join   JoinRec
 	Get    GetRec
-
-	// PinSafe marks a fold-free mutation the recorder has proven safe to
-	// apply while snapshot pins are live (see the PinConcurrent capability).
-	// The zero value is the conservative "must wait for pin drain".
-	PinSafe bool
 }
 
 // ApplyTo replays the mutation into r.
@@ -126,11 +100,6 @@ type Versioned struct {
 	applied  uint64 // mutations applied to r
 	window   int
 	failed   bool // the applier died; Record must never block again
-
-	// pins counts goroutines currently reading the relation at the pinned
-	// (current applied) version; while it is non-zero the applier must not
-	// advance (ApplyTo panics).
-	pins atomic.Int64
 }
 
 // NewVersioned wraps r with a mutation log bounded to the given
@@ -143,10 +112,6 @@ func NewVersioned(r Reach, window int) *Versioned {
 	v.space.L = &v.mu
 	return v
 }
-
-// Reach returns the underlying relation. Callers must hold a version
-// guarantee (be the applier, or know the log is drained) to query it.
-func (v *Versioned) Reach() Reach { return v.r }
 
 // Window returns the construct-ahead bound.
 func (v *Versioned) Window() int { return v.window }
@@ -194,32 +159,16 @@ func (v *Versioned) Record(m Mut) uint64 {
 // ApplyTo call advances it).
 func (v *Versioned) ApplyTo(version uint64) {
 	v.mu.Lock()
-	failed := v.failed
-	v.mu.Unlock()
-	if failed {
+	if v.failed {
 		// The pipeline poisoned the log: the relation stops advancing (a
 		// half-applied relation must not answer any further query) and
 		// the failure-path Drain in the engine's report degenerates to a
-		// no-op instead of tripping the pin assertion below.
+		// no-op.
+		v.mu.Unlock()
 		return
 	}
-	// Snapshot the pin state once: pins only go 0→n while the scheduler
-	// (the sole ApplyTo caller) is between calls, so a zero load here means
-	// no reader can appear mid-loop, and a non-zero load conservatively
-	// restricts the whole call to pin-safe mutations.
-	pinned := v.pins.Load() != 0
-	v.mu.Lock()
 	for v.applied < version && v.head < len(v.pending) {
 		m := &v.pending[v.head]
-		if pinned && !m.PinSafe {
-			// Folding this mutation (a join or get, or any op the Reach did
-			// not advertise as pin-concurrent) while a consumer reads the
-			// relation at a pinned version would collapse relations that
-			// reader's snapshot still distinguishes — a detector bug, not a
-			// recoverable condition. The scheduler must drain pins first.
-			v.mu.Unlock()
-			panic("core: Versioned.ApplyTo of a folding mutation while a snapshot pin is held")
-		}
 		v.head++
 		v.applied++
 		// Apply under the lock: the recorder never touches the Reach, and
@@ -256,21 +205,4 @@ func (v *Versioned) Failed() bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.failed
-}
-
-// Pin marks the current applied version as shared-read-pinned: any number
-// of goroutines may query the underlying Reach concurrently (through its
-// QueryConcurrent-safe read path) until the matching Unpin. While any pin
-// is held, ApplyTo only advances the relation through PinSafe (fold-free)
-// mutations and panics if asked to fold; the scheduler drains pins before
-// applying joins and gets. Pins nest.
-func (v *Versioned) Pin() {
-	v.pins.Add(1)
-}
-
-// Unpin releases one Pin.
-func (v *Versioned) Unpin() {
-	if v.pins.Add(-1) < 0 {
-		panic("core: Versioned.Unpin without a matching Pin")
-	}
 }

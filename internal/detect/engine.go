@@ -89,44 +89,9 @@ type Engine struct {
 	// across (Config.Workers > 1 and a concurrent-query-safe algorithm).
 	pool *shadow.Pool
 
-	// consumers is the effective width of the detection consumer pool
-	// (Config.Consumers clamped by eligibility: concurrent-query-safe
-	// algorithm, no Verify, no oracle). See pooled for what it gates.
-	consumers int
-
-	// Dependency classification of construct mutations, accumulated on
-	// the engine goroutine between pipeline items (depBarrier/depSpans,
-	// consumed by stampDep at every submit) and between sealed non-empty
-	// batches (statBarrier/statSpans, consumed by noteBatchStats). A
-	// barrier is a mutation that can change existing query answers (sync
-	// join, future get); a span names the subtree a return retags.
-	// depApplyBarrier additionally accumulates whether any mutation since
-	// the last item is not pin-safe — the scheduler must drain snapshot
-	// pins before advancing the relation past it. Consumer pool only.
-	depBarrier      bool
-	depApplyBarrier bool
-	depSpans        []event.StrandSpan
-	statBarrier     bool
-	statSpans       []event.StrandSpan
-
-	// pinSafe caches the algorithm's core.PinConcurrent mask per mutation
-	// op; all-false (every mutation an apply barrier) when the algorithm
-	// does not advertise the capability. stealWords is the effective
-	// chunk-steal granule (Config.StealChunkWords or the default).
-	pinSafe    [6]bool
-	stealWords int
-
-	// Batch-pipeline stats (Stats.Event), counted at seal time on the
-	// engine goroutine, so they are deterministic. Batches is counted in
-	// every pipeline mode; the footprint and independence counters only
-	// when pooled, where they are identical across every Consumers > 1 ×
-	// Workers configuration. prevFP, prevStrand and havePrev hold the
-	// previous sealed batch's footprint for the pairwise independence
-	// classification.
-	evStats    event.Stats
-	prevFP     event.Footprint
-	prevStrand core.StrandID
-	havePrev   bool
+	// evStats counts batch-pipeline traffic (Stats.Event) at seal time on
+	// the engine goroutine, so it is deterministic.
+	evStats event.Stats
 
 	// batch is the open access-event batch: Read/Write append to it
 	// (coalescing contiguous same-kind accesses into ranges) and the
@@ -142,9 +107,8 @@ type Engine struct {
 	// batch carries the version of the reachability relation it was
 	// recorded under and the back-end applies construct mutations (from
 	// vr) so every in-flight check observes a snapshot answering its
-	// queries exactly as the batch's own version would. With Consumers >
-	// 1 it is a dependency-scheduled consumer pool (see sched.go);
-	// otherwise a single consumer goroutine in seal order.
+	// queries exactly as the batch's own version would: one consumer
+	// goroutine in seal order (see pipeline.go).
 	be *pipeline
 
 	// faults is the run's fault-injection plan (nil in production: every
@@ -292,11 +256,11 @@ func NewEngine(cfg Config) *Engine {
 }
 
 // initPipeline sets up the access-event batch layer: every engine that
-// observes memory accesses batches them, and Workers > 1 or Consumers > 1
-// additionally runs batch detection asynchronously off the engine
-// goroutine, overlapping it with continued program execution. An
-// asynchronous detecting engine also versions its reachability relation
-// so constructs need not block on back-end drain.
+// observes memory accesses batches them, and Workers > 1 additionally
+// runs batch detection asynchronously off the engine goroutine,
+// overlapping it with continued program execution. An asynchronous
+// detecting engine also versions its reachability relation so
+// constructs need not block on back-end drain.
 func (e *Engine) initPipeline(cfg Config) {
 	if e.hist == nil {
 		return
@@ -306,181 +270,23 @@ func (e *Engine) initPipeline(cfg Config) {
 	if e.batchOps <= 0 {
 		e.batchOps = event.MaxOps
 	}
-	e.consumers = cfg.Consumers
-	if e.consumers < 1 {
-		e.consumers = 1
-	}
-	if e.consumers > 1 && !e.consumersEligible(cfg) {
-		e.consumers = 1
-	}
-	e.stealWords = cfg.StealChunkWords
-	if e.stealWords <= 0 {
-		e.stealWords = 4 << shadow.PageBits
-	}
-	if cfg.Workers > 1 || e.consumers > 1 {
+	if cfg.Workers > 1 {
 		if e.detecting {
 			e.vr = core.NewVersioned(e.reach, cfg.ConstructAhead)
 			e.nudgeAt = e.vr.Window() / 2
 			if e.nudgeAt < 1 {
 				e.nudgeAt = 1
 			}
-			// The pin-safe mask decides which recorded mutations the
-			// overlapping-window scheduler may apply under live snapshot
-			// pins. Asserted on the final (possibly wrapped) reach, so
-			// Verify and the oracle conservatively barrier everything.
-			if pc, ok := e.reach.(core.PinConcurrent); ok {
-				for op := core.MutInit; op <= core.MutGet; op++ {
-					e.pinSafe[op] = pc.PinSafeMut(op)
-				}
-			}
 		}
-		if e.consumers > 1 {
-			// Debug assertion backing the whole-pipeline invariant:
-			// concurrently-checked batches touch disjoint shadow pages.
-			// Cheap (a few span comparisons per batch), so it is always on
-			// when the consumer pool is, and the -race CI suite runs it.
-			e.hist.EnableInstallAudit()
-		}
-		e.be = newPipeline(e, e.consumers)
+		e.be = newPipeline(e)
 	}
-}
-
-// pooled reports whether the consumer pool runs. It is the one rule for
-// everything only the pool's scheduler reads: batch footprints, the
-// dependency stamps (Barrier, ApplyBarrier, RetSpans) and their
-// accumulators, and the footprint and independence counters of
-// Stats.Event are computed only when it holds. The serial path and the
-// single-consumer stream never look at them, so they never pay for them.
-func (e *Engine) pooled() bool { return e.consumers > 1 }
-
-// consumersEligible reports whether the multi-consumer back-end may run:
-// its consumers query the reachability relation concurrently (under a
-// pinned snapshot), so the algorithm must advertise QueryConcurrent;
-// Verify wraps queries in oracle cross-checks and stays serial, as does
-// the oracle itself. Instrumentation-only engines make no queries and
-// always qualify.
-func (e *Engine) consumersEligible(cfg Config) bool {
-	if !e.detecting {
-		return true // MemInstr without detection: touch traffic only
-	}
-	if cfg.Verify || cfg.Mode == ModeOracle {
-		return false
-	}
-	if cfg.Mem == MemInstr {
-		return true
-	}
-	qc, ok := e.reach.(core.QueryConcurrent)
-	return ok && qc.ConcurrentPrecedesSafe()
-}
-
-// maxDepSpans bounds either dependency-span accumulator between resets;
-// past it the accumulator degrades to a barrier (strictly more
-// conservative: a barrier subsumes every span conflict), so access-free
-// spawn storms cannot grow memory while nothing flushes.
-const maxDepSpans = 1024
-
-// addDepSpan appends sp to one accumulator under the subsumption and
-// bounding rules: a set barrier already serializes against everything a
-// span could, and an over-full accumulator collapses into one.
-func addDepSpan(barrier *bool, spans []event.StrandSpan, sp event.StrandSpan) []event.StrandSpan {
-	if *barrier {
-		return spans
-	}
-	if len(spans) >= maxDepSpans {
-		*barrier = true
-		return spans[:0]
-	}
-	return append(spans, sp)
-}
-
-// classifyMut accumulates the dependency class of one construct mutation
-// for the scheduler (dep*) and the batch stats (stat*): joins and gets
-// are barriers, returns of multi-strand subtrees carry their strand span,
-// spawns/creates/init only introduce fresh elements and are free. Only
-// the consumer pool reads the classification, so it is skipped entirely
-// on every other engine (including MemOff, which has no batch layer).
-func (e *Engine) classifyMut(m *core.Mut) {
-	if !e.pooled() {
-		return
-	}
-	if !m.PinSafe {
-		e.depApplyBarrier = true
-	}
-	switch m.Op {
-	case core.MutJoin, core.MutGet:
-		e.depBarrier, e.statBarrier = true, true
-	case core.MutReturn:
-		if m.Return.First != m.Return.Last {
-			sp := event.StrandSpan{First: m.Return.First, Last: m.Return.Last}
-			e.depSpans = addDepSpan(&e.depBarrier, e.depSpans, sp)
-			e.statSpans = addDepSpan(&e.statBarrier, e.statSpans, sp)
-		}
-		// A single-strand subtree's return retags a bag no other strand
-		// occupies and a batch never queries its own strand, so it cannot
-		// conflict with any in-flight batch: drop the span entirely. This
-		// is what lets wide fan-outs of leaf tasks (spawn, body, return,
-		// spawn, ...) form one independent window.
-	}
-}
-
-// stampDep moves the accumulated since-last-item dependency info onto the
-// outgoing batch and resets the accumulator; a no-op unless pooled.
-// Engine goroutine only.
-func (e *Engine) stampDep(b *event.Batch) {
-	if !e.pooled() {
-		return
-	}
-	b.Barrier = e.depBarrier
-	b.ApplyBarrier = e.depApplyBarrier
-	b.RetSpans = append(b.RetSpans[:0], e.depSpans...)
-	e.depBarrier = false
-	e.depApplyBarrier = false
-	e.depSpans = e.depSpans[:0]
-}
-
-// noteBatchStats classifies one sealed, summarized batch against its
-// predecessor (the deterministic pairwise form of the scheduler's
-// independence condition) and sizes its footprint. Consumer pool only;
-// counted at seal time, so the counters are identical across every
-// Consumers > 1 × Workers configuration.
-func (e *Engine) noteBatchStats(b *event.Batch) {
-	e.evStats.FootprintSpans += uint64(len(b.FP.Spans))
-	e.evStats.FootprintPages += b.FP.Pages()
-	if !b.FP.Exact {
-		e.evStats.CollapsedFootprints++
-	}
-	dep := !e.havePrev || e.statBarrier || b.Strand == e.prevStrand ||
-		b.FP.Overlaps(&e.prevFP)
-	if !dep {
-		for _, sp := range e.statSpans {
-			if sp.Contains(e.prevStrand) {
-				dep = true
-				break
-			}
-		}
-	}
-	if dep {
-		e.evStats.SerializedBatches++
-	} else {
-		e.evStats.IndependentBatches++
-	}
-	e.statBarrier = false
-	e.statSpans = e.statSpans[:0]
-	e.prevFP.Spans = append(e.prevFP.Spans[:0], b.FP.Spans...)
-	e.prevFP.Exact = b.FP.Exact
-	e.prevStrand = b.Strand
-	e.havePrev = true
 }
 
 // mutate applies one construct mutation to the reachability relation:
 // inline when the pipeline is synchronous, recorded into the versioned log
-// (for the back-end to apply in batch order) when it is not. Under the
-// consumer pool the mutation's dependency class is also accumulated for
-// the scheduler and the batch stats.
+// (for the back-end to apply in batch order) when it is not.
 func (e *Engine) mutate(m core.Mut) {
-	m.PinSafe = e.pinSafe[m.Op]
 	if e.vr == nil {
-		e.classifyMut(&m)
 		m.ApplyTo(e.reach)
 		return
 	}
@@ -501,13 +307,8 @@ func (e *Engine) mutate(m core.Mut) {
 		b.Gen = e.gen
 		b.Version = rec
 		e.submittedVersion = rec
-		// The nudge carries the dependency info of the mutations recorded
-		// before it; m itself is recorded after the nudge's version and is
-		// classified below, for the next item.
-		e.stampDep(b)
 		e.be.submit(workItem{b: b})
 	}
-	e.classifyMut(&m)
 	e.vr.Record(m)
 }
 
@@ -604,13 +405,6 @@ func (e *Engine) report() *Report {
 	if e.hist != nil {
 		rep.Stats.Shadow = e.hist.Stats()
 		rep.Stats.Event = e.evStats
-		if e.be != nil {
-			// Scheduling-outcome counters live on the pipeline (they are
-			// counted where the decisions happen) and are merged here;
-			// unlike the rest of Stats.Event they are timing-dependent.
-			rep.Stats.Event.StolenChunks = e.be.stolen.Load()
-			rep.Stats.Event.OverlappedWindows = e.be.overlapped.Load()
-		}
 	}
 	return rep
 }
@@ -658,18 +452,6 @@ func (e *Engine) newPipelineError(stage string, b *event.Batch, r any) *Pipeline
 	return pe
 }
 
-// rethrowIfDebugAudit re-raises a shadow install-audit violation under
-// the futurerd_debug build tag: the -race CI suite must halt hard on a
-// scheduler bug, while production builds fail closed through the normal
-// PipelineError path.
-func rethrowIfDebugAudit(r any) {
-	if faultinject.Debug {
-		if _, ok := r.(*shadow.AuditError); ok {
-			panic(r)
-		}
-	}
-}
-
 // checkBatchInline is processBatch on the synchronous pipeline (no
 // back-end goroutine), shelled so a detection-side panic — injected or
 // real — poisons the engine instead of unwinding through user frames as
@@ -678,7 +460,6 @@ func rethrowIfDebugAudit(r any) {
 func (e *Engine) checkBatchInline(b *event.Batch) {
 	defer func() {
 		if r := recover(); r != nil {
-			rethrowIfDebugAudit(r)
 			e.poisonWith(e.newPipelineError("inline", b, r))
 		}
 	}()
@@ -772,7 +553,7 @@ func (e *Engine) EndSpawn(t, child *Task) {
 	r := child.born
 	r.childLast = child.strand
 	e.mutate(core.Mut{Op: core.MutReturn, Return: core.ReturnRec{
-		Fn: child.fn, ParentFn: t.fn, First: r.childFirst, Last: r.childLast,
+		Fn: child.fn, ParentFn: t.fn, Last: r.childLast,
 	}})
 	t.spawns = append(t.spawns, r)
 	t.strand = r.cont
@@ -833,7 +614,7 @@ func (e *Engine) BeginFut(t *Task) (*Task, *Fut) {
 		ParentFn: t.fn, FutFn: futFn,
 		Creator: creator, FutFirst: futFirst, ContFirst: cont,
 	}})
-	h := &Fut{fn: futFn, creatorStrand: creator, first: futFirst}
+	h := &Fut{fn: futFn, creatorStrand: creator}
 	child := &Task{ex: e, fn: futFn, strand: futFirst}
 	child.born = spawnRec{cont: cont}
 	return child, h
@@ -852,7 +633,7 @@ func (e *Engine) EndFut(t, child *Task, h *Fut, val any) {
 	h.last = child.strand
 	h.done = true
 	e.mutate(core.Mut{Op: core.MutReturn, Return: core.ReturnRec{
-		Fn: h.fn, ParentFn: t.fn, First: h.first, Last: h.last,
+		Fn: h.fn, ParentFn: t.fn, Last: h.last,
 	}})
 	t.strand = child.born.cont
 }
@@ -898,7 +679,6 @@ func (e *Engine) GetFut(t *Task, h *Fut) any {
 				b.Version = e.vr.Recorded()
 				e.submittedVersion = b.Version
 			}
-			e.stampDep(b)
 			e.be.submit(workItem{b: b, disc: d})
 		} else {
 			e.evalDisc(d)
@@ -949,8 +729,8 @@ func (e *Engine) access(t *Task, k event.Kind, addr uint64, words int) {
 	e.checkPoison()
 	if len(e.batch.Ops) > 0 && e.batch.Strand != t.strand {
 		// Unreachable today — the current strand only changes at
-		// constructs, which seal — but the single-strand batch invariant
-		// is what makes overlapped checking sound, so enforce it locally.
+		// constructs, which seal — but every op of a batch is checked as
+		// batch.Strand's, so enforce the single-strand invariant locally.
 		e.flushBatch()
 	}
 	e.batch.Strand = t.strand
@@ -975,10 +755,7 @@ func (e *Engine) seal() {
 // the engine goroutine when the pipeline is synchronous, queued to the
 // back-end (overlapping continued execution) when it is not. The batch is
 // stamped with the current construct generation and relation version
-// either way. Only the consumer pool schedules on page footprints and
-// dependency info, so only a pooled engine summarizes the batch, stamps
-// it and counts the footprint stats — here, at seal time, so they are
-// deterministic.
+// either way.
 func (e *Engine) flushBatch() {
 	if len(e.batch.Ops) == 0 {
 		return
@@ -990,17 +767,6 @@ func (e *Engine) flushBatch() {
 		e.submittedVersion = b.Version
 	}
 	e.evStats.Batches++
-	if e.pooled() {
-		b.Summarize(shadow.PageBits)
-		e.noteBatchStats(b)
-		e.stampDep(b)
-		if e.faults.Fire(faultinject.CorruptFootprint) {
-			// After noteBatchStats, so the deterministic Stats.Event
-			// counters stay identical to a fault-free run; only the
-			// scheduler and the install audit see the lie.
-			b.FP.Corrupt()
-		}
-	}
 	if e.be != nil {
 		e.batch = event.New()
 		e.be.submit(workItem{b: b})
@@ -1026,9 +792,8 @@ func (e *Engine) processBatch(b *event.Batch) {
 	if e.vr != nil {
 		e.vr.ApplyTo(b.Version)
 	}
-	// Every batch starts with a cold verdict memo, here exactly as on the
-	// multi-consumer views, so memo-hit counters cannot depend on which
-	// pipeline checked the batch.
+	// Every batch starts with a cold verdict memo, so memo-hit counters
+	// cannot depend on which pipeline checked the batch.
 	e.hist.ResetBatchCaches()
 	if e.mem == MemFull {
 		// A local context carries the batch's own generation; the

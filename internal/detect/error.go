@@ -17,31 +17,26 @@ var ErrStalled = errors.New("detect: pipeline stalled past Config.StallTimeout")
 // sequence counts, when the failure was recorded. Sealed counts items the
 // engine submitted, Dispatched counts items a checking goroutine picked
 // up, Checked counts items fully processed; Sealed == Checked means the
-// pipeline was quiescent. ActiveWindow and MaxWindow describe the
-// multi-consumer scheduler's window state (zero on the single-consumer
-// stream).
+// pipeline was quiescent.
 type PipelineProgress struct {
 	Sealed, Dispatched, Checked uint64
-	ActiveWindow                int
-	MaxWindow                   int
 }
 
 // String formats the snapshot for the error message.
 func (p PipelineProgress) String() string {
-	return fmt.Sprintf("sealed %d, dispatched %d, checked %d, window active %d (max %d)",
-		p.Sealed, p.Dispatched, p.Checked, p.ActiveWindow, p.MaxWindow)
+	return fmt.Sprintf("sealed %d, dispatched %d, checked %d",
+		p.Sealed, p.Dispatched, p.Checked)
 }
 
 // PipelineError is the structured failure of the fail-closed detection
 // pipeline: any panic or stall in a pipeline goroutine — back-end
-// consumer, scheduler, consumer pool, shadow worker, or the inline
-// checking path — is recovered into one of these, the engine is poisoned
-// so every subsequent hook aborts the run with it instead of deadlocking,
-// and Run still joins every goroutine before returning it in Report.Err.
+// consumer, shadow worker, or the inline checking path — is recovered
+// into one of these, the engine is poisoned so every subsequent hook
+// aborts the run with it instead of deadlocking, and Run still joins
+// every goroutine before returning it in Report.Err.
 type PipelineError struct {
 	// Stage names the pipeline stage that failed: "consumer" (batch
-	// checking, single- or multi-consumer), "scheduler" (the
-	// multi-consumer window scheduler), "inline" (the synchronous
+	// checking on the asynchronous back-end), "inline" (the synchronous
 	// checking path on the engine goroutine), or "watchdog" (a stall
 	// detected by Config.StallTimeout).
 	Stage string
@@ -49,8 +44,7 @@ type PipelineError struct {
 	// when the stage failed (0 when no batch was in hand).
 	Seq uint64
 	// Batch is a diagnostic one-liner of that batch: strand, generation,
-	// relation version, op count and, under the consumer pool, page
-	// footprint.
+	// relation version and op count.
 	Batch string
 	// Progress is the pipeline's per-stage progress at failure time.
 	Progress PipelineProgress
@@ -76,16 +70,11 @@ func (e *PipelineError) Error() string {
 func (e *PipelineError) Unwrap() error { return e.Cause }
 
 // batchDiag condenses a batch into the diagnostic line a PipelineError
-// carries. Only consumer-pool batches are summarized, so the footprint is
-// shown only when the batch has one.
+// carries.
 func batchDiag(b *event.Batch) string {
 	if b == nil {
 		return ""
 	}
-	s := fmt.Sprintf("strand %d gen %d version %d ops %d",
+	return fmt.Sprintf("strand %d gen %d version %d ops %d",
 		b.Strand, b.Gen, b.Version, len(b.Ops))
-	if len(b.FP.Spans) > 0 {
-		s += fmt.Sprintf(" footprint %v", b.FP.Spans)
-	}
-	return s
 }

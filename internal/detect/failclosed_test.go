@@ -15,34 +15,34 @@ import (
 func TestErrorPathJoinsPipeline(t *testing.T) {
 	faultinject.GoroutineLeakCheck(t)
 	for _, workers := range []int{0, 4} {
-		for _, consumers := range []int{0, 4} {
-			rep := NewEngine(Config{
-				Mode: ModeMultiBagsPlus, Mem: MemFull,
-				Workers: workers, Consumers: consumers,
-			}).Run(func(t *Task) {
-				for i := 0; i < 200; i++ { // enough traffic to open batches
-					t.Write(uint64(i) * 1024)
-				}
-				t.GetFut(&Fut{}) // never completed: aborts the run
-			})
-			if !errors.Is(rep.Err, ErrFutureNotReady) {
-				t.Fatalf("w=%d c=%d: want ErrFutureNotReady, got %v", workers, consumers, rep.Err)
+		rep := NewEngine(Config{
+			Mode: ModeMultiBagsPlus, Mem: MemFull, Workers: workers,
+		}).Run(func(t *Task) {
+			for i := 0; i < 200; i++ { // enough traffic to open batches
+				t.Write(uint64(i) * 1024)
 			}
+			t.GetFut(&Fut{}) // never completed: aborts the run
+		})
+		if !errors.Is(rep.Err, ErrFutureNotReady) {
+			t.Fatalf("w=%d: want ErrFutureNotReady, got %v", workers, rep.Err)
 		}
 	}
 }
 
-// TestInjectedPanicBecomesPipelineError pins the recovery chain on the
-// consumer path: the injected panic value must survive — wrapped, not
-// swallowed — into a PipelineError carrying the stage and a progress
-// snapshot, and the engine must be poisoned, not wedged. The batch
-// diagnosis shows a footprint only where one was computed.
+// TestInjectedPanicBecomesPipelineError pins the recovery chain on both
+// checking paths — the asynchronous consumer (Workers 4) and the inline
+// path (Workers 1): the injected panic value must survive — wrapped, not
+// swallowed — into a PipelineError carrying the stage and the batch in
+// hand, and the engine must be poisoned, not wedged.
 func TestInjectedPanicBecomesPipelineError(t *testing.T) {
 	faultinject.GoroutineLeakCheck(t)
-	for _, consumers := range []int{1, 4} {
+	for _, workers := range []int{1, 4} {
+		stage := "inline"
+		if workers > 1 {
+			stage = "consumer"
+		}
 		rep := NewEngine(Config{
-			Mode: ModeMultiBagsPlus, Mem: MemFull,
-			Workers: 4, Consumers: consumers,
+			Mode: ModeMultiBagsPlus, Mem: MemFull, Workers: workers,
 			Faults: faultinject.Single(faultinject.ConsumerPanic, 1),
 		}).Run(func(t *Task) {
 			for i := 0; i < 64; i++ {
@@ -56,22 +56,20 @@ func TestInjectedPanicBecomesPipelineError(t *testing.T) {
 		})
 		var pe *PipelineError
 		if !errors.As(rep.Err, &pe) {
-			t.Fatalf("c=%d: want a PipelineError, got %v", consumers, rep.Err)
+			t.Fatalf("w=%d: want a PipelineError, got %v", workers, rep.Err)
 		}
-		if pe.Stage != "consumer" {
-			t.Fatalf("c=%d: stage = %q, want consumer", consumers, pe.Stage)
+		if pe.Stage != stage {
+			t.Fatalf("w=%d: stage = %q, want %s", workers, pe.Stage, stage)
 		}
 		var fp faultinject.Panic
 		if !errors.As(pe, &fp) || fp.Point != faultinject.ConsumerPanic {
-			t.Fatalf("c=%d: injected panic lost in the cause chain: %v", consumers, pe)
+			t.Fatalf("w=%d: injected panic lost in the cause chain: %v", workers, pe)
 		}
-		if !strings.Contains(pe.Error(), "consumer") {
-			t.Fatalf("c=%d: error text does not name the stage: %v", consumers, pe)
+		if !strings.Contains(pe.Error(), stage) {
+			t.Fatalf("w=%d: error text does not name the stage: %v", workers, pe)
 		}
-		// Only the consumer pool summarizes batches, so only its
-		// diagnosis can name a footprint.
-		if got := strings.Contains(pe.Batch, "footprint"); got != (consumers > 1) {
-			t.Fatalf("c=%d: batch diagnosis %q, want footprint shown = %v", consumers, pe.Batch, consumers > 1)
+		if !strings.Contains(pe.Batch, "strand") || !strings.Contains(pe.Batch, "ops") {
+			t.Fatalf("w=%d: batch diagnosis %q does not describe the batch", workers, pe.Batch)
 		}
 	}
 }
@@ -82,8 +80,7 @@ func TestInjectedPanicBecomesPipelineError(t *testing.T) {
 func TestPoisonedEngineRefusesWork(t *testing.T) {
 	faultinject.GoroutineLeakCheck(t)
 	e := NewEngine(Config{
-		Mode: ModeMultiBagsPlus, Mem: MemFull,
-		Workers: 4, Consumers: 4,
+		Mode: ModeMultiBagsPlus, Mem: MemFull, Workers: 4,
 		Faults: faultinject.Single(faultinject.ConsumerPanic, 1),
 	})
 	done := make(chan *Report, 1)
@@ -110,9 +107,9 @@ func TestPoisonedEngineRefusesWork(t *testing.T) {
 // TestProgressStringIsReadable keeps the diagnostic surface stable: the
 // progress snapshot inside a stall error is what an operator reads first.
 func TestProgressStringIsReadable(t *testing.T) {
-	p := PipelineProgress{Sealed: 9, Dispatched: 7, Checked: 4, ActiveWindow: 2}
+	p := PipelineProgress{Sealed: 9, Dispatched: 7, Checked: 4}
 	s := p.String()
-	for _, want := range []string{"9", "7", "4", "2"} {
+	for _, want := range []string{"9", "7", "4"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("progress string %q lost a counter (%s)", s, want)
 		}

@@ -97,8 +97,11 @@ type Config struct {
 	// parallel constructs. Workers <= 1 keeps every access on the exact
 	// serial path. The pool only engages when Mem is MemFull or MemInstr
 	// and the selected algorithm supports concurrent queries (SP-Bags,
-	// MultiBags, MultiBags+); the oracle and Verify runs stay serial.
-	// Race reports are identical, in content and order, to a serial run.
+	// MultiBags, MultiBags+, vc); the oracle and Verify runs stay serial.
+	// Workers > 1 also moves batch detection onto one asynchronous
+	// back-end goroutine that overlaps continued program execution (see
+	// ConstructAhead), for every mode. Race reports are identical, in
+	// content and order, to a serial run.
 	Workers int
 
 	// WorkerChunk overrides the words-per-chunk granule of the parallel
@@ -106,33 +109,6 @@ type Config struct {
 	// than two chunks stay serial. Exposed for tuning and for tests that
 	// need to exercise the fan-out on small ranges.
 	WorkerChunk int
-
-	// Consumers sets the width of the detection consumer pool: sealed
-	// access batches whose footprints are independent — disjoint shadow
-	// pages, distinct strands, and no conflicting construct mutation
-	// between them — are checked concurrently by up to this many
-	// consumers, each under the same pinned snapshot of the versioned
-	// reachability relation; dependent batches serialize in seal order. A
-	// dependency-aware scheduler groups the batch stream into windows and
-	// a sequence-numbered reorder buffer keeps race delivery in seal
-	// order, so reports are verdict-, order- and counter-identical to a
-	// serial run for any Consumers (and any Workers) setting, except the
-	// pool-only Stats.Event counters (see Stats.Event). Consumers
-	// <= 1 keeps the single-consumer back-end; > 1 requires an algorithm
-	// with a concurrent-safe query path (SP-Bags, MultiBags, MultiBags+ —
-	// the oracle and Verify runs fall back to one consumer). Consumers is
-	// independent of Workers: Workers parallelizes within one bulk range,
-	// Consumers across batches; they compose.
-	Consumers int
-
-	// StealChunkWords overrides the words-per-chunk granule at which the
-	// multi-consumer scheduler splits one large batch into
-	// footprint-disjoint chunks that idle consumers steal (0 means the
-	// default of 4 shadow pages). A batch only splits when its prefix and
-	// suffix touch strictly separated page ranges, so chunks of one batch
-	// never share a shadow word; batches below twice the granule are never
-	// split. Exposed for the steal-path tests and the chunk-size sweep.
-	StealChunkWords int
 
 	// BatchOps overrides the op cap of one access-event batch (0 means
 	// event.MaxOps): a batch that reaches the cap flushes mid-window so
@@ -167,8 +143,7 @@ type Config struct {
 	Verify bool
 
 	// StallTimeout arms the pipeline stall watchdog (asynchronous
-	// back-end only — Workers > 1 or Consumers > 1): each pipeline stage
-	// heartbeats through sealed/dispatched/checked progress counters, and
+	// back-end only — Workers > 1): each pipeline stage heartbeats through sealed/dispatched/checked progress counters, and
 	// if none advances for this long while work is outstanding, the run
 	// fails closed with a PipelineError whose Stage is "watchdog" and
 	// whose Progress dumps the per-stage state, instead of hanging. Zero
@@ -177,8 +152,8 @@ type Config struct {
 	StallTimeout time.Duration
 
 	// Faults, when non-nil, arms deterministic fault injection at the
-	// pipeline's instrumented sites — consumer panics, stage stalls,
-	// corrupted batch footprints, failed page materializations. For the
+	// pipeline's instrumented sites — consumer panics, consumer stalls,
+	// failed page materializations. For the
 	// robustness test suite; nil (the default) keeps every probe at one
 	// nil check.
 	Faults *faultinject.Plan
@@ -221,8 +196,8 @@ type Sampling struct {
 	// Rate in (0, 1] is the fraction of protocol-bound accesses admitted
 	// to the full query path, decided by a deterministic hash of
 	// (Seed, address, construct generation) — no randomness, so the
-	// admitted set is identical across runs and across every
-	// Workers × Consumers pipeline configuration. Rate 0 (the zero value)
+	// admitted set is identical across runs and across every Workers
+	// pipeline configuration. Rate 0 (the zero value)
 	// disables sampling entirely. Rates outside [0, 1] are a
 	// configuration error.
 	Rate float64
@@ -306,19 +281,10 @@ type Stats struct {
 
 	Reach  core.ReachStats
 	Shadow shadow.Stats
-	// Event counts batch-pipeline traffic: sealed batches, the
-	// deterministic pairwise independent/serialized classification the
-	// multi-consumer scheduler's window rules are built from, and
-	// footprint summary sizes. Counted at seal time on the engine
-	// goroutine, so deterministic. Batches is identical across every
-	// Workers/Consumers configuration. The five footprint and
-	// independence counters (IndependentBatches, SerializedBatches,
-	// FootprintSpans, FootprintPages, CollapsedFootprints) are pool-only:
-	// 0 when Consumers <= 1, identical across every Consumers > 1 ×
-	// Workers configuration. Event.StolenChunks and
-	// Event.OverlappedWindows count scheduling outcomes (chunks checked by
-	// a stealing consumer, relation versions published over in-flight
-	// batches) and are timing-dependent.
+	// Event counts batch-pipeline traffic: sealed batches, counted at
+	// seal time on the engine goroutine, so identical across every
+	// Workers configuration. Its remaining fields are always zero (see
+	// event.Stats).
 	Event event.Stats
 
 	// Trace describes how a trace replay ended; meaningful only for

@@ -11,10 +11,9 @@ import "sync/atomic"
 // never observes a partially-copied array.
 //
 // Element writes through W are plain stores. That is safe exactly when the
-// caller guarantees no reader loads the same index concurrently — the
-// regime the reachability algorithms run under live snapshot pins, where
-// every index a pin-safe mutation writes is either fresh (no in-flight
-// query can name it) or excluded by the scheduler's strand-span rules.
+// caller guarantees no reader loads the same index concurrently, e.g.
+// because every index it writes is fresh (no concurrent reader can name
+// it yet).
 // Readers that only need a stale-but-consistent view load RO once and
 // index into the snapshot.
 type PubSlice[T any] struct {

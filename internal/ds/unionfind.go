@@ -16,15 +16,12 @@ import "sync/atomic"
 // # Concurrency
 //
 // One writer (the detection applier) may run MakeSet, Find and Union while
-// any number of readers run FindRO concurrently — the regime the
-// overlapping-window scheduler creates when it applies fold-free construct
-// mutations under live snapshot pins. All parent-pointer accesses on both
-// sides are atomic, and the parent array is published copy-on-write
-// through an atomic header, so a grow never tears a concurrent reader: a
-// reader that loaded the previous snapshot finishes its find on a
-// consistent (slightly stale) forest, which names the same partition its
-// pinned version defines. The rank, presence and counter bookkeeping stay
-// writer-private.
+// any number of readers run FindRO concurrently. All parent-pointer
+// accesses on both sides are atomic, and the parent array is published
+// copy-on-write through an atomic header, so a grow never tears a
+// concurrent reader: a reader that loaded the previous snapshot finishes
+// its find on a consistent (slightly stale) forest. The rank, presence
+// and counter bookkeeping stay writer-private.
 type UnionFind struct {
 	parent []uint32                 // writer-side backing; elements accessed atomically
 	phdr   atomic.Pointer[[]uint32] // published header for concurrent FindRO readers

@@ -5,9 +5,8 @@
 // A production engine carries a nil *Plan, so every probe is one nil
 // check and the instrumented paths cost nothing measurable. Tests arm a
 // Plan — either an explicit Single(point, occurrence) or a seed-derived
-// NewPlan(seed) — and the pipeline then panics, stalls, corrupts a batch
-// footprint or fails a page materialization at exactly the chosen
-// occurrence of the chosen point. Determinism is the point: the
+// NewPlan(seed) — and the pipeline then panics, stalls or fails a page
+// materialization at exactly the chosen occurrence of the chosen point. Determinism is the point: the
 // differential-fuzz arm replays the same seed against the same program
 // and asserts the fail-closed invariant (verdicts identical to serial,
 // or one structured PipelineError and no goroutine left behind).
@@ -29,32 +28,16 @@ type Point uint8
 // Fault points, one per instrumented site class.
 const (
 	// ConsumerPanic panics on the goroutine checking a batch (the
-	// single-consumer loop, a pool consumer, or the engine goroutine on
-	// the synchronous pipeline).
+	// asynchronous back-end's consumer, or the engine goroutine on the
+	// synchronous pipeline).
 	ConsumerPanic Point = iota
 	// ConsumerStall sleeps Plan.Stall on the checking goroutine before a
 	// batch is processed — a wedged consumer for the watchdog to catch.
 	ConsumerStall
-	// SchedulerStall sleeps Plan.Stall on the multi-consumer scheduler
-	// goroutine at an epoch boundary — a wedged window.
-	SchedulerStall
-	// CorruptFootprint mangles a sealed batch's page-footprint summary
-	// before it reaches the scheduler, simulating a summarizer bug; the
-	// shadow install audit is what must catch the consequences. Only the
-	// consumer pool summarizes batches, so it never fires elsewhere.
-	CorruptFootprint
 	// PageFail fails a shadow page materialization (the allocation edge
 	// of the access history), on whichever goroutine first touches the
 	// page.
 	PageFail
-	// StealPanic panics on a consumer processing a stolen chunk (a chunk
-	// other than the batch's first), exercising failure of a
-	// partially-checked, multi-consumer batch.
-	StealPanic
-	// OverlapStall sleeps Plan.Stall on the scheduler as it publishes a
-	// relation version while earlier batches are still in flight — a
-	// wedged overlapping window for the watchdog to catch.
-	OverlapStall
 
 	numPoints
 )
@@ -66,16 +49,8 @@ func (p Point) String() string {
 		return "consumer-panic"
 	case ConsumerStall:
 		return "consumer-stall"
-	case SchedulerStall:
-		return "scheduler-stall"
-	case CorruptFootprint:
-		return "corrupt-footprint"
 	case PageFail:
 		return "page-fail"
-	case StealPanic:
-		return "steal-panic"
-	case OverlapStall:
-		return "overlap-stall"
 	default:
 		return fmt.Sprintf("point(%d)", uint8(p))
 	}
@@ -133,13 +108,6 @@ func NewPlan(seed uint64) *Plan {
 	pt := Point(h % uint64(numPoints))
 	occ := 1 + (splitmix64(h) % 8)
 	return Single(pt, occ)
-}
-
-// Arms reports whether the plan ever fires pt — tests use it to steer
-// around configurations where a fault is designed to be fatal (the debug
-// build's hard audit panic).
-func (p *Plan) Arms(pt Point) bool {
-	return p != nil && p.fireAt[pt] != 0
 }
 
 // Fire reports whether this probe of pt is the one the plan arms. Safe

@@ -25,9 +25,9 @@ const (
 	faultTimeout = 40 * time.Millisecond
 )
 
-// faultOne runs one (fault, mode, workers, consumers) cell against the
-// serial no-fault reference for the same program.
-func faultOne(t *testing.T, seed uint64, pt faultinject.Point, mode detect.Mode, workers, consumers int) {
+// faultOne runs one (fault, mode, workers) cell against the serial
+// no-fault reference for the same program.
+func faultOne(t *testing.T, seed uint64, pt faultinject.Point, mode detect.Mode, workers int) {
 	t.Helper()
 	// Pair each algorithm with the dialect it is sound for, as the
 	// equivalence fuzzers do.
@@ -50,7 +50,7 @@ func faultOne(t *testing.T, seed uint64, pt faultinject.Point, mode detect.Mode,
 	plan.Stall = faultStall
 	rep := detect.NewEngine(detect.Config{
 		Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20,
-		Workers: workers, Consumers: consumers,
+		Workers:      workers,
 		StallTimeout: faultTimeout,
 		Faults:       plan,
 	}).Run(p.Run)
@@ -58,8 +58,8 @@ func faultOne(t *testing.T, seed uint64, pt faultinject.Point, mode detect.Mode,
 	if rep.Err != nil {
 		var pe *detect.PipelineError
 		if !errors.As(rep.Err, &pe) {
-			t.Fatalf("seed %d [%v c=%d w=%d]: error is not a PipelineError: %v\n%s",
-				seed, pt, consumers, workers, rep.Err, p)
+			t.Fatalf("seed %d [%v w=%d]: error is not a PipelineError: %v\n%s",
+				seed, pt, workers, rep.Err, p)
 		}
 		if pe.Stage == "" {
 			t.Fatalf("seed %d [%v]: PipelineError without a stage: %v", seed, pt, pe)
@@ -67,25 +67,25 @@ func faultOne(t *testing.T, seed uint64, pt faultinject.Point, mode detect.Mode,
 		return
 	}
 	// No failure surfaced: the fault never fired, or fired without
-	// touching detection state (a stall, a corrupt footprint the audit
-	// had no occasion to object to). Verdicts must be the serial ones.
+	// touching detection state (a stall). Verdicts must be the serial
+	// ones.
 	if len(serial.Races) != len(rep.Races) || serial.Stats.RaceCount != rep.Stats.RaceCount {
-		t.Fatalf("seed %d [%v c=%d w=%d]: %d races (%d obs) vs serial %d (%d)\n%s",
-			seed, pt, consumers, workers, len(rep.Races), rep.Stats.RaceCount,
+		t.Fatalf("seed %d [%v w=%d]: %d races (%d obs) vs serial %d (%d)\n%s",
+			seed, pt, workers, len(rep.Races), rep.Stats.RaceCount,
 			len(serial.Races), serial.Stats.RaceCount, p)
 	}
 	for i := range serial.Races {
 		if serial.Races[i] != rep.Races[i] {
-			t.Fatalf("seed %d [%v c=%d w=%d]: race %d differs: %v vs %v\n%s",
-				seed, pt, consumers, workers, i, serial.Races[i], rep.Races[i], p)
+			t.Fatalf("seed %d [%v w=%d]: race %d differs: %v vs %v\n%s",
+				seed, pt, workers, i, serial.Races[i], rep.Races[i], p)
 		}
 	}
 	ss, rs := serial.Stats.Shadow, rep.Stats.Shadow
 	if ss.Reads != rs.Reads || ss.Writes != rs.Writes ||
 		ss.OwnedSkips != rs.OwnedSkips || ss.ReadSharedSkips != rs.ReadSharedSkips ||
 		ss.ReaderAppends != rs.ReaderAppends || ss.ReaderFlushes != rs.ReaderFlushes {
-		t.Fatalf("seed %d [%v c=%d w=%d]: shadow counters diverge\nserial %+v\ngot    %+v\n%s",
-			seed, pt, consumers, workers, ss, rs, p)
+		t.Fatalf("seed %d [%v w=%d]: shadow counters diverge\nserial %+v\ngot    %+v\n%s",
+			seed, pt, workers, ss, rs, p)
 	}
 }
 
@@ -95,73 +95,53 @@ func TestFaultMatrixFailsClosed(t *testing.T) {
 	for _, pt := range faultinject.Points() {
 		for _, mode := range modes {
 			for _, workers := range []int{1, 4} {
-				for _, consumers := range []int{1, 4} {
-					if pt == faultinject.CorruptFootprint && faultinject.Debug && consumers > 1 {
-						// Debug builds re-raise audit violations as hard
-						// panics by design; the corrupted footprint would
-						// halt the whole test process.
-						continue
-					}
-					faultOne(t, 11, pt, mode, workers, consumers)
-				}
+				faultOne(t, 11, pt, mode, workers)
 			}
 		}
 	}
 }
 
-// TestWatchdogDiagnosesStall pins the watchdog specifically: a consumer
-// stalled far past Config.StallTimeout must fail the run with the
-// watchdog's structured error, stage and progress filled in, rather than
-// blocking Run for the stall's duration times the batch count.
+// TestWatchdogDiagnosesStall pins the watchdog specifically: on the
+// asynchronous back-end (Workers 4) a consumer stalled far past
+// Config.StallTimeout must fail the run with the watchdog's structured
+// error, stage and progress filled in, rather than blocking Run for the
+// stall's duration times the batch count. On the synchronous pipeline
+// (Workers 1) the same stall must be absorbed.
 func TestWatchdogDiagnosesStall(t *testing.T) {
 	faultinject.GoroutineLeakCheck(t)
 	p := Generate(7, Options{Dialect: General, MaxStmts: 60, PageSpread: true})
-	for _, consumers := range []int{1, 4} {
+	for _, workers := range []int{1, 4} {
 		plan := faultinject.Single(faultinject.ConsumerStall, 1)
 		plan.Stall = faultStall
 		rep := detect.NewEngine(detect.Config{
 			Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull,
-			Workers: 2, Consumers: consumers,
+			Workers:      workers,
 			StallTimeout: faultTimeout,
 			Faults:       plan,
 		}).Run(p.Run)
+		if workers == 1 {
+			// The synchronous pipeline has no stage to stall between: the
+			// stall only slows the run down, and the watchdog never arms.
+			if rep.Err != nil {
+				t.Fatalf("w=1: synchronous run failed: %v", rep.Err)
+			}
+			continue
+		}
 		if rep.Err == nil {
-			t.Fatalf("c=%d: stalled run reported no error", consumers)
+			t.Fatalf("w=%d: stalled run reported no error", workers)
 		}
 		var pe *detect.PipelineError
 		if !errors.As(rep.Err, &pe) {
-			t.Fatalf("c=%d: error is not a PipelineError: %v", consumers, rep.Err)
+			t.Fatalf("w=%d: error is not a PipelineError: %v", workers, rep.Err)
 		}
 		if pe.Stage != "watchdog" || !errors.Is(pe, detect.ErrStalled) {
-			t.Fatalf("c=%d: want a watchdog ErrStalled failure, got stage %q: %v",
-				consumers, pe.Stage, pe)
+			t.Fatalf("w=%d: want a watchdog ErrStalled failure, got stage %q: %v",
+				workers, pe.Stage, pe)
 		}
 		if pe.Progress.Sealed == 0 || pe.Progress.Sealed == pe.Progress.Checked {
-			t.Fatalf("c=%d: watchdog progress does not describe outstanding work: %+v",
-				consumers, pe.Progress)
+			t.Fatalf("w=%d: watchdog progress does not describe outstanding work: %+v",
+				workers, pe.Progress)
 		}
-	}
-}
-
-// TestSchedulerStallDiagnosed covers the multi-consumer scheduler's own
-// stall probe (it sleeps at the epoch flush, between dispatching
-// windows).
-func TestSchedulerStallDiagnosed(t *testing.T) {
-	faultinject.GoroutineLeakCheck(t)
-	p := Generate(7, Options{Dialect: General, MaxStmts: 60, PageSpread: true})
-	plan := faultinject.Single(faultinject.SchedulerStall, 1)
-	plan.Stall = faultStall
-	rep := detect.NewEngine(detect.Config{
-		Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull,
-		Consumers: 4, StallTimeout: faultTimeout,
-		Faults: plan,
-	}).Run(p.Run)
-	if rep.Err == nil {
-		t.Fatal("stalled scheduler reported no error")
-	}
-	var pe *detect.PipelineError
-	if !errors.As(rep.Err, &pe) {
-		t.Fatalf("error is not a PipelineError: %v", rep.Err)
 	}
 }
 
@@ -177,16 +157,9 @@ func FuzzFailClosed(f *testing.F) {
 	f.Add(uint64(1 << 33))
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		faultinject.GoroutineLeakCheck(t)
-		workers := 1 + int(seed>>8%4)    // 1..4
-		consumers := 1 + int(seed>>16%4) // 1..4
+		workers := 1 + int(seed>>8%4) // 1..4
 		plan := faultinject.NewPlan(seed)
 		plan.Stall = faultStall
-		if faultinject.Debug && plan.Arms(faultinject.CorruptFootprint) {
-			// The debug build turns a tripped install audit into a hard
-			// panic by design; keep the corrupted footprint away from the
-			// audit by staying single-consumer.
-			consumers = 1
-		}
 		p := Generate(seed, Options{Dialect: General, MaxStmts: 60, PageSpread: true})
 		serial := detect.NewEngine(detect.Config{
 			Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull, MaxRaces: 1 << 20,
@@ -196,7 +169,7 @@ func FuzzFailClosed(f *testing.F) {
 		}
 		rep := detect.NewEngine(detect.Config{
 			Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull, MaxRaces: 1 << 20,
-			Workers: workers, Consumers: consumers,
+			Workers:      workers,
 			StallTimeout: faultTimeout,
 			Faults:       plan,
 		}).Run(p.Run)

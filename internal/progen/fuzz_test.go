@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"futurerd/internal/detect"
-	"futurerd/internal/event"
 	"futurerd/internal/trace"
 )
 
@@ -72,17 +71,15 @@ func parallelOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 	}
 }
 
-// consumersOne asserts multi-consumer equivalence on one generated
-// program: the dependency-scheduled consumer pool (Consumers ∈ {1,4} ×
-// Workers ∈ {1,4}) must reproduce the serial engine's report exactly —
-// same races in the same order, same protocol counters, same memo and
-// fast-path hits, same reachability traffic, same batch count. The
-// pool-only footprint and independence counters must be zero without the
-// consumer pool and equal to a Consumers = 2 run's with it. A final config forces the intra-range fan-out under the consumer pool
-// with a tiny WorkerChunk and compares the verdict counters (per-chunk
-// memos legitimately change memo/query plumbing, exactly as in
-// parallelOne).
-func consumersOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
+// workersOne asserts pipeline equivalence on one generated program: the
+// Workers ∈ {1,4} engines (range fan-out plus the asynchronous back-end)
+// must reproduce the serial engine's report exactly — same races in the
+// same order, same protocol counters, same memo and fast-path hits, same
+// reachability traffic, same batch count. A final config forces the
+// intra-range fan-out with a tiny WorkerChunk and compares the verdict
+// counters (per-chunk memos legitimately change memo/query plumbing,
+// exactly as in parallelOne).
+func workersOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 	t.Helper()
 	p := Generate(seed, opts)
 	serial := detect.NewEngine(detect.Config{
@@ -91,55 +88,29 @@ func consumersOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 	if serial.Err != nil {
 		t.Fatalf("seed %d: serial err %v\n%s", seed, serial.Err, p)
 	}
-	// The pool-only footprint and independence counters are zero without
-	// the consumer pool and identical across pooled configurations; the
-	// Consumers = 2 run is their reference.
-	pooled := detect.NewEngine(detect.Config{
-		Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20, Consumers: 2,
-	}).Run(p.Run)
-	if pooled.Err != nil {
-		t.Fatalf("seed %d: c=2 reference err %v\n%s", seed, pooled.Err, p)
-	}
-	pe := pooled.Stats.Event
-	poolRef := pe.SplitPoolOnly()
-	if n := poolRef.IndependentBatches + poolRef.SerializedBatches; n != pe.Batches {
-		t.Fatalf("seed %d: c=2 reference classified %d of %d batches\n%s", seed, n, pe.Batches, p)
-	}
 	check := func(cfg detect.Config, full bool) {
 		rep := detect.NewEngine(cfg).Run(p.Run)
 		if rep.Err != nil {
-			t.Fatalf("seed %d [c=%d w=%d]: %v\n%s", seed, cfg.Consumers, cfg.Workers, rep.Err, p)
+			t.Fatalf("seed %d [w=%d]: %v\n%s", seed, cfg.Workers, rep.Err, p)
 		}
 		if len(serial.Races) != len(rep.Races) {
-			t.Fatalf("seed %d [c=%d w=%d]: %d races vs serial %d\n%s",
-				seed, cfg.Consumers, cfg.Workers, len(rep.Races), len(serial.Races), p)
+			t.Fatalf("seed %d [w=%d]: %d races vs serial %d\n%s",
+				seed, cfg.Workers, len(rep.Races), len(serial.Races), p)
 		}
 		for i := range serial.Races {
 			if serial.Races[i] != rep.Races[i] {
-				t.Fatalf("seed %d [c=%d w=%d]: race %d differs: %v vs %v\n%s",
-					seed, cfg.Consumers, cfg.Workers, i, serial.Races[i], rep.Races[i], p)
+				t.Fatalf("seed %d [w=%d]: race %d differs: %v vs %v\n%s",
+					seed, cfg.Workers, i, serial.Races[i], rep.Races[i], p)
 			}
 		}
 		ss, cs := serial.Stats, rep.Stats
-		if sp := ss.Event.SplitPoolOnly(); sp != (event.Stats{}) {
-			t.Fatalf("seed %d: serial run computed pool-only counters %+v\n%s", seed, sp, p)
-		}
-		cp := cs.Event.SplitPoolOnly()
-		var want event.Stats
-		if cfg.Consumers > 1 {
-			want = poolRef
-		}
-		if cp != want {
-			t.Fatalf("seed %d [c=%d w=%d]: pool-only counters diverge\nwant %+v\ngot  %+v\n%s",
-				seed, cfg.Consumers, cfg.Workers, want, cp, p)
-		}
 		if !full {
 			sh, ch := ss.Shadow, cs.Shadow
 			if ss.RaceCount != cs.RaceCount || sh.Reads != ch.Reads || sh.Writes != ch.Writes ||
 				sh.OwnedSkips != ch.OwnedSkips || sh.ReadSharedSkips != ch.ReadSharedSkips ||
 				sh.ReaderAppends != ch.ReaderAppends || sh.ReaderFlushes != ch.ReaderFlushes {
-				t.Fatalf("seed %d [c=%d w=%d chunked]: verdict counters diverge\nserial %+v\ngot    %+v\n%s",
-					seed, cfg.Consumers, cfg.Workers, sh, ch, p)
+				t.Fatalf("seed %d [w=%d chunked]: verdict counters diverge\nserial %+v\ngot    %+v\n%s",
+					seed, cfg.Workers, sh, ch, p)
 			}
 			return
 		}
@@ -147,21 +118,18 @@ func consumersOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 		cs.Shadow.ParRanges, cs.Shadow.ParChunks, cs.Shadow.PageCacheHits = 0, 0, 0
 		if ss.RaceCount != cs.RaceCount || ss.Shadow != cs.Shadow ||
 			ss.Reach != cs.Reach || ss.Event != cs.Event {
-			t.Fatalf("seed %d [c=%d w=%d]: stats diverge\nserial %+v\ngot    %+v\n%s",
-				seed, cfg.Consumers, cfg.Workers, ss, cs, p)
+			t.Fatalf("seed %d [w=%d]: stats diverge\nserial %+v\ngot    %+v\n%s",
+				seed, cfg.Workers, ss, cs, p)
 		}
 	}
-	for _, consumers := range []int{1, 4} {
-		for _, workers := range []int{1, 4} {
-			check(detect.Config{
-				Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20,
-				Consumers: consumers, Workers: workers,
-			}, true)
-		}
+	for _, workers := range []int{1, 4} {
+		check(detect.Config{
+			Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20, Workers: workers,
+		}, true)
 	}
 	check(detect.Config{
 		Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20,
-		Consumers: 3, Workers: 3, WorkerChunk: 4,
+		Workers: 3, WorkerChunk: 4,
 	}, false)
 }
 
@@ -170,7 +138,7 @@ func consumersOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 // algorithm for oracle cross-checking, the wrapper does not export the
 // EpochConcurrent capability, and so every cross-generation re-read pays
 // the full reference protocol while the oracle audits each verdict. The
-// epoch-enabled runs (Workers ∈ {1,4} × Consumers ∈ {1,4}) must then
+// epoch-enabled runs (Workers ∈ {1,4}) must then
 // reproduce that reference report exactly — same races in the same
 // order, same verdict counters — with the stamp transfer switched on.
 func epochOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) uint64 {
@@ -190,35 +158,32 @@ func epochOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) uint64 
 			seed, ref.Stats.Shadow.EpochHits, p)
 	}
 	var hits uint64
-	for _, consumers := range []int{1, 4} {
-		for _, workers := range []int{1, 4} {
-			rep := detect.NewEngine(detect.Config{
-				Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20,
-				Consumers: consumers, Workers: workers,
-			}).Run(p.Run)
-			if rep.Err != nil {
-				t.Fatalf("seed %d [c=%d w=%d]: %v\n%s", seed, consumers, workers, rep.Err, p)
-			}
-			if len(ref.Races) != len(rep.Races) {
-				t.Fatalf("seed %d [c=%d w=%d]: epoch run found %d races, reference %d\n%s",
-					seed, consumers, workers, len(rep.Races), len(ref.Races), p)
-			}
-			for i := range ref.Races {
-				if ref.Races[i] != rep.Races[i] {
-					t.Fatalf("seed %d [c=%d w=%d]: race %d differs: epoch %v, reference %v\n%s",
-						seed, consumers, workers, i, rep.Races[i], ref.Races[i], p)
-				}
-			}
-			rs, es := ref.Stats.Shadow, rep.Stats.Shadow
-			if ref.Stats.RaceCount != rep.Stats.RaceCount ||
-				rs.Reads != es.Reads || rs.Writes != es.Writes ||
-				rs.OwnedSkips != es.OwnedSkips || rs.ReadSharedSkips != es.ReadSharedSkips ||
-				rs.ReaderAppends != es.ReaderAppends || rs.ReaderFlushes != es.ReaderFlushes {
-				t.Fatalf("seed %d [c=%d w=%d]: verdict counters diverge\nreference %+v\nepoch     %+v\n%s",
-					seed, consumers, workers, rs, es, p)
-			}
-			hits += es.EpochHits
+	for _, workers := range []int{1, 4} {
+		rep := detect.NewEngine(detect.Config{
+			Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20, Workers: workers,
+		}).Run(p.Run)
+		if rep.Err != nil {
+			t.Fatalf("seed %d [w=%d]: %v\n%s", seed, workers, rep.Err, p)
 		}
+		if len(ref.Races) != len(rep.Races) {
+			t.Fatalf("seed %d [w=%d]: epoch run found %d races, reference %d\n%s",
+				seed, workers, len(rep.Races), len(ref.Races), p)
+		}
+		for i := range ref.Races {
+			if ref.Races[i] != rep.Races[i] {
+				t.Fatalf("seed %d [w=%d]: race %d differs: epoch %v, reference %v\n%s",
+					seed, workers, i, rep.Races[i], ref.Races[i], p)
+			}
+		}
+		rs, es := ref.Stats.Shadow, rep.Stats.Shadow
+		if ref.Stats.RaceCount != rep.Stats.RaceCount ||
+			rs.Reads != es.Reads || rs.Writes != es.Writes ||
+			rs.OwnedSkips != es.OwnedSkips || rs.ReadSharedSkips != es.ReadSharedSkips ||
+			rs.ReaderAppends != es.ReaderAppends || rs.ReaderFlushes != es.ReaderFlushes {
+			t.Fatalf("seed %d [w=%d]: verdict counters diverge\nreference %+v\nepoch     %+v\n%s",
+				seed, workers, rs, es, p)
+		}
+		hits += es.EpochHits
 	}
 	return hits
 }
@@ -344,12 +309,12 @@ func FuzzGeneralPrograms(f *testing.F) {
 		fuzzOne(t, seed, opts, detect.ModeVectorClocks)
 		vcOne(t, seed, opts)
 		parallelOne(t, seed, opts, detect.ModeMultiBagsPlus)
-		consumersOne(t, seed, opts, detect.ModeMultiBagsPlus)
-		consumersOne(t, seed, opts, detect.ModeVectorClocks)
+		workersOne(t, seed, opts, detect.ModeMultiBagsPlus)
+		workersOne(t, seed, opts, detect.ModeVectorClocks)
 		spread := opts
 		spread.PageSpread = true
 		fuzzOne(t, seed, spread, detect.ModeMultiBagsPlus)
-		consumersOne(t, seed, spread, detect.ModeMultiBagsPlus)
+		workersOne(t, seed, spread, detect.ModeMultiBagsPlus)
 		replayOne(t, seed, opts)
 	})
 }
@@ -364,11 +329,11 @@ func FuzzStructuredPrograms(f *testing.F) {
 		fuzzOne(t, seed, opts, detect.ModeMultiBagsPlus)
 		fuzzOne(t, seed, opts, detect.ModeVectorClocks)
 		parallelOne(t, seed, opts, detect.ModeMultiBags)
-		consumersOne(t, seed, opts, detect.ModeMultiBags)
+		workersOne(t, seed, opts, detect.ModeMultiBags)
 		spread := opts
 		spread.PageSpread = true
 		fuzzOne(t, seed, spread, detect.ModeMultiBags)
-		consumersOne(t, seed, spread, detect.ModeMultiBags)
+		workersOne(t, seed, spread, detect.ModeMultiBags)
 		replayOne(t, seed, opts)
 	})
 }
@@ -422,50 +387,16 @@ func TestParallelMatchesSerialSeeds(t *testing.T) {
 	}
 }
 
-// TestConsumersMatchSerialSeeds sweeps the multi-consumer differential
-// (Consumers ∈ {1,4} × Workers ∈ {1,4}) over a seed range, in both the
-// default shape — every access on shadow page zero, so every batch is
-// page-dependent and the pool must degenerate to serial order — and the
-// PageSpread shape, where per-body pages make batches genuinely
-// independent and the concurrent windows carry real traffic.
-func TestConsumersMatchSerialSeeds(t *testing.T) {
+// TestWorkersMatchSerialSeeds sweeps the full-Stats Workers differential
+// (workersOne) over a seed range, in both the default shape — every
+// access on shadow page zero — and the PageSpread shape, where per-body
+// pages spread the traffic over many pages.
+func TestWorkersMatchSerialSeeds(t *testing.T) {
 	for seed := uint64(0); seed < 25; seed++ {
-		consumersOne(t, seed, Options{Dialect: General, MaxStmts: 60}, detect.ModeMultiBagsPlus)
-		consumersOne(t, seed, Options{Dialect: Structured, MaxStmts: 60}, detect.ModeMultiBags)
-		consumersOne(t, seed, Options{Dialect: General, MaxStmts: 60, PageSpread: true}, detect.ModeMultiBagsPlus)
-		consumersOne(t, seed, Options{Dialect: Structured, MaxStmts: 60, PageSpread: true}, detect.ModeMultiBags)
-	}
-}
-
-// TestConsumersSeedShapes pins the two scheduling regimes the sweep
-// relies on: default programs are fully dependent (batches share page
-// zero), while a PageSpread sweep produces at least some independent
-// batches somewhere — otherwise the differential above proves nothing
-// about concurrent windows. The independence classification is
-// pool-only, so the probes run with Consumers = 2.
-func TestConsumersSeedShapes(t *testing.T) {
-	dep := Generate(3, Options{Dialect: Structured, MaxStmts: 60})
-	rep := detect.NewEngine(detect.Config{Mode: detect.ModeMultiBags, Mem: detect.MemFull,
-		MaxRaces: 1 << 20, Consumers: 2}).Run(dep.Run)
-	if rep.Err != nil {
-		t.Fatal(rep.Err)
-	}
-	if rep.Stats.Event.IndependentBatches != 0 {
-		t.Fatalf("default-shape program has %d independent batches, want 0 (single shared page)",
-			rep.Stats.Event.IndependentBatches)
-	}
-	var independent uint64
-	for seed := uint64(0); seed < 25; seed++ {
-		p := Generate(seed, Options{Dialect: General, MaxStmts: 60, PageSpread: true})
-		rep := detect.NewEngine(detect.Config{Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull,
-			MaxRaces: 1 << 20, Consumers: 2}).Run(p.Run)
-		if rep.Err != nil {
-			t.Fatalf("seed %d: %v", seed, rep.Err)
-		}
-		independent += rep.Stats.Event.IndependentBatches
-	}
-	if independent == 0 {
-		t.Fatal("PageSpread sweep produced no independent batches")
+		workersOne(t, seed, Options{Dialect: General, MaxStmts: 60}, detect.ModeMultiBagsPlus)
+		workersOne(t, seed, Options{Dialect: Structured, MaxStmts: 60}, detect.ModeMultiBags)
+		workersOne(t, seed, Options{Dialect: General, MaxStmts: 60, PageSpread: true}, detect.ModeMultiBagsPlus)
+		workersOne(t, seed, Options{Dialect: Structured, MaxStmts: 60, PageSpread: true}, detect.ModeMultiBags)
 	}
 }
 
@@ -499,7 +430,7 @@ func TestReadSharedHeavySeeds(t *testing.T) {
 
 // TestEpochCrossGenSeeds sweeps the cross-generation epoch differential
 // without the fuzzer — construct-dense read-heavy programs under
-// Workers ∈ {1,4} × Consumers ∈ {1,4} against the oracle-audited,
+// Workers ∈ {1,4} against the oracle-audited,
 // epoch-free reference — and checks the sweep actually takes stamp
 // transfers somewhere, so the differential proves something about the
 // carried-forward epoch rather than vacuously passing with it cold.
@@ -518,12 +449,12 @@ func TestEpochCrossGenSeeds(t *testing.T) {
 }
 
 // TestVectorClockEquivalence is the vector-clock back-end's acceptance
-// sweep: across Workers ∈ {1,4} × Consumers ∈ {1,4} and all three progen
+// sweep: across Workers ∈ {1,4} and all three progen
 // shapes (general, structured, construct-dense read-heavy), vc must
 // deep-equal MultiBags+ on races (content and order), violations and the
 // verdict counters — while taking clock compares and exactly zero bag
 // probes. The serial vcOne differential runs first so a divergence
-// blames the algorithm before the scheduler.
+// blames the algorithm before the pipeline.
 func TestVectorClockEquivalence(t *testing.T) {
 	shapes := []Options{
 		{Dialect: General, MaxStmts: 60},
@@ -535,57 +466,55 @@ func TestVectorClockEquivalence(t *testing.T) {
 		for _, opts := range shapes {
 			vcOne(t, seed, opts)
 			p := Generate(seed, opts)
-			for _, consumers := range []int{1, 4} {
-				for _, workers := range []int{1, 4} {
-					mbp := detect.NewEngine(detect.Config{
-						Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull, MaxRaces: 1 << 20,
-						Consumers: consumers, Workers: workers,
-					}).Run(p.Run)
-					vc := detect.NewEngine(detect.Config{
-						Mode: detect.ModeVectorClocks, Mem: detect.MemFull, MaxRaces: 1 << 20,
-						Consumers: consumers, Workers: workers,
-					}).Run(p.Run)
-					if mbp.Err != nil || vc.Err != nil {
-						t.Fatalf("seed %d [c=%d w=%d]: multibags+ err %v, vc err %v\n%s",
-							seed, consumers, workers, mbp.Err, vc.Err, p)
-					}
-					if len(mbp.Races) != len(vc.Races) {
-						t.Fatalf("seed %d [c=%d w=%d]: vc %d races, multibags+ %d\n%s",
-							seed, consumers, workers, len(vc.Races), len(mbp.Races), p)
-					}
-					for i := range mbp.Races {
-						if mbp.Races[i] != vc.Races[i] {
-							t.Fatalf("seed %d [c=%d w=%d]: race %d differs: vc %v, multibags+ %v\n%s",
-								seed, consumers, workers, i, vc.Races[i], mbp.Races[i], p)
-						}
-					}
-					if len(mbp.Violations) != len(vc.Violations) {
-						t.Fatalf("seed %d [c=%d w=%d]: vc %d violations, multibags+ %d\n%s",
-							seed, consumers, workers, len(vc.Violations), len(mbp.Violations), p)
-					}
-					for i := range mbp.Violations {
-						if mbp.Violations[i] != vc.Violations[i] {
-							t.Fatalf("seed %d [c=%d w=%d]: violation %d differs: vc %v, multibags+ %v\n%s",
-								seed, consumers, workers, i, vc.Violations[i], mbp.Violations[i], p)
-						}
-					}
-					ms, vs := mbp.Stats.Shadow, vc.Stats.Shadow
-					if mbp.Stats.RaceCount != vc.Stats.RaceCount ||
-						ms.Reads != vs.Reads || ms.Writes != vs.Writes ||
-						ms.OwnedSkips != vs.OwnedSkips || ms.ReadSharedSkips != vs.ReadSharedSkips ||
-						ms.ReaderAppends != vs.ReaderAppends || ms.ReaderFlushes != vs.ReaderFlushes ||
-						ms.EpochHits != vs.EpochHits {
-						t.Fatalf("seed %d [c=%d w=%d]: verdict counters diverge\nmultibags+ %+v\nvc         %+v\n%s",
-							seed, consumers, workers, ms, vs, p)
-					}
-					vr := vc.Stats.Reach
-					if vr.Finds != 0 || vr.Unions != 0 || vr.AttachedSets != 0 ||
-						vr.RArcs != 0 || vr.RCloseWords != 0 {
-						t.Fatalf("seed %d [c=%d w=%d]: vc run took bag probes: %+v\n%s",
-							seed, consumers, workers, vr, p)
-					}
-					compares += vr.ClockCompares
+			for _, workers := range []int{1, 4} {
+				mbp := detect.NewEngine(detect.Config{
+					Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull, MaxRaces: 1 << 20,
+					Workers: workers,
+				}).Run(p.Run)
+				vc := detect.NewEngine(detect.Config{
+					Mode: detect.ModeVectorClocks, Mem: detect.MemFull, MaxRaces: 1 << 20,
+					Workers: workers,
+				}).Run(p.Run)
+				if mbp.Err != nil || vc.Err != nil {
+					t.Fatalf("seed %d [w=%d]: multibags+ err %v, vc err %v\n%s",
+						seed, workers, mbp.Err, vc.Err, p)
 				}
+				if len(mbp.Races) != len(vc.Races) {
+					t.Fatalf("seed %d [w=%d]: vc %d races, multibags+ %d\n%s",
+						seed, workers, len(vc.Races), len(mbp.Races), p)
+				}
+				for i := range mbp.Races {
+					if mbp.Races[i] != vc.Races[i] {
+						t.Fatalf("seed %d [w=%d]: race %d differs: vc %v, multibags+ %v\n%s",
+							seed, workers, i, vc.Races[i], mbp.Races[i], p)
+					}
+				}
+				if len(mbp.Violations) != len(vc.Violations) {
+					t.Fatalf("seed %d [w=%d]: vc %d violations, multibags+ %d\n%s",
+						seed, workers, len(vc.Violations), len(mbp.Violations), p)
+				}
+				for i := range mbp.Violations {
+					if mbp.Violations[i] != vc.Violations[i] {
+						t.Fatalf("seed %d [w=%d]: violation %d differs: vc %v, multibags+ %v\n%s",
+							seed, workers, i, vc.Violations[i], mbp.Violations[i], p)
+					}
+				}
+				ms, vs := mbp.Stats.Shadow, vc.Stats.Shadow
+				if mbp.Stats.RaceCount != vc.Stats.RaceCount ||
+					ms.Reads != vs.Reads || ms.Writes != vs.Writes ||
+					ms.OwnedSkips != vs.OwnedSkips || ms.ReadSharedSkips != vs.ReadSharedSkips ||
+					ms.ReaderAppends != vs.ReaderAppends || ms.ReaderFlushes != vs.ReaderFlushes ||
+					ms.EpochHits != vs.EpochHits {
+					t.Fatalf("seed %d [w=%d]: verdict counters diverge\nmultibags+ %+v\nvc         %+v\n%s",
+						seed, workers, ms, vs, p)
+				}
+				vr := vc.Stats.Reach
+				if vr.Finds != 0 || vr.Unions != 0 || vr.AttachedSets != 0 ||
+					vr.RArcs != 0 || vr.RCloseWords != 0 {
+					t.Fatalf("seed %d [w=%d]: vc run took bag probes: %+v\n%s",
+						seed, workers, vr, p)
+				}
+				compares += vr.ClockCompares
 			}
 		}
 	}

@@ -18,7 +18,7 @@ import (
 //     state, so sampling misses races but cannot invent them. With an
 //     unlimited budget the admitted set is a pure hash of
 //     (seed, addr, generation), so the sampled report is additionally
-//     identical across every Workers × Consumers configuration; a
+//     identical across every Workers configuration; a
 //     finite budget lets the schedule pick which accesses win a page's
 //     coupons, so the budget arm checks only the subset property.
 
@@ -78,7 +78,7 @@ func samplingIdentityOne(t *testing.T, seed uint64, opts Options, mode detect.Mo
 }
 
 // samplingSubsetOne pins promise 2 on one generated program, across
-// Workers × Consumers: every sampled run's racy addresses ⊆ the full
+// Workers ∈ {1,4}: every sampled run's racy addresses ⊆ the full
 // run's, rate-1.0 runs are race-identical, and fractional-rate runs with
 // an unlimited budget are identical to each other across configurations.
 // Returns (full racy addresses, missed addresses) so sweeps can assert
@@ -96,44 +96,42 @@ func samplingSubsetOne(t *testing.T, seed uint64, opts Options, mode detect.Mode
 
 	for _, rate := range []float64{1.0, 0.5, 0.2} {
 		var ref *detect.Report // serial sampled run at this rate
-		for _, consumers := range []int{1, 4} {
-			for _, workers := range []int{1, 4} {
-				rep := detect.NewEngine(detect.Config{
-					Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20,
-					Consumers: consumers, Workers: workers,
-					Sampling: detect.Sampling{Rate: rate, Seed: 0x5eed},
-				}).Run(p.Run)
-				if rep.Err != nil {
-					t.Fatalf("seed %d [rate=%v c=%d w=%d]: %v\n%s",
-						seed, rate, consumers, workers, rep.Err, p)
+		for _, workers := range []int{1, 4} {
+			rep := detect.NewEngine(detect.Config{
+				Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20,
+				Workers:  workers,
+				Sampling: detect.Sampling{Rate: rate, Seed: 0x5eed},
+			}).Run(p.Run)
+			if rep.Err != nil {
+				t.Fatalf("seed %d [rate=%v w=%d]: %v\n%s",
+					seed, rate, workers, rep.Err, p)
+			}
+			for a := range racyAddrs(rep) {
+				if !fullAddrs[a] {
+					t.Fatalf("seed %d [rate=%v w=%d]: false positive at %d — "+
+						"sampled run reports a race full detection does not\n%s",
+						seed, rate, workers, a, p)
 				}
-				for a := range racyAddrs(rep) {
-					if !fullAddrs[a] {
-						t.Fatalf("seed %d [rate=%v c=%d w=%d]: false positive at %d — "+
-							"sampled run reports a race full detection does not\n%s",
-							seed, rate, consumers, workers, a, p)
-					}
-				}
-				if rate == 1.0 && len(rep.Races) != len(full.Races) {
-					t.Fatalf("seed %d [c=%d w=%d]: rate 1.0 found %d races, full %d\n%s",
-						seed, consumers, workers, len(rep.Races), len(full.Races), p)
-				}
-				// Unlimited budget: the admitted set is configuration-
-				// independent, so every config reproduces the serial
-				// sampled report exactly.
-				if ref == nil {
-					ref = rep
-					continue
-				}
-				if len(ref.Races) != len(rep.Races) {
-					t.Fatalf("seed %d [rate=%v c=%d w=%d]: %d races vs serial sampled %d\n%s",
-						seed, rate, consumers, workers, len(rep.Races), len(ref.Races), p)
-				}
-				for i := range ref.Races {
-					if ref.Races[i] != rep.Races[i] {
-						t.Fatalf("seed %d [rate=%v c=%d w=%d]: race %d differs: %v vs %v\n%s",
-							seed, rate, consumers, workers, i, rep.Races[i], ref.Races[i], p)
-					}
+			}
+			if rate == 1.0 && len(rep.Races) != len(full.Races) {
+				t.Fatalf("seed %d [w=%d]: rate 1.0 found %d races, full %d\n%s",
+					seed, workers, len(rep.Races), len(full.Races), p)
+			}
+			// Unlimited budget: the admitted set is configuration-
+			// independent, so every config reproduces the serial
+			// sampled report exactly.
+			if ref == nil {
+				ref = rep
+				continue
+			}
+			if len(ref.Races) != len(rep.Races) {
+				t.Fatalf("seed %d [rate=%v w=%d]: %d races vs serial sampled %d\n%s",
+					seed, rate, workers, len(rep.Races), len(ref.Races), p)
+			}
+			for i := range ref.Races {
+				if ref.Races[i] != rep.Races[i] {
+					t.Fatalf("seed %d [rate=%v w=%d]: race %d differs: %v vs %v\n%s",
+						seed, rate, workers, i, rep.Races[i], ref.Races[i], p)
 				}
 			}
 		}
@@ -145,19 +143,19 @@ func samplingSubsetOne(t *testing.T, seed uint64, opts Options, mode detect.Mode
 	// Budget arm: a one-coupon page budget under a concurrent pipeline
 	// may sample different accesses per schedule, so only the subset
 	// property holds.
-	for _, consumers := range []int{1, 4} {
+	for _, workers := range []int{1, 4} {
 		rep := detect.NewEngine(detect.Config{
 			Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20,
-			Consumers: consumers, Workers: consumers,
+			Workers:  workers,
 			Sampling: detect.Sampling{Rate: 1.0, Budget: 1, Seed: 0x5eed},
 		}).Run(p.Run)
 		if rep.Err != nil {
-			t.Fatalf("seed %d [budget c=%d]: %v\n%s", seed, consumers, rep.Err, p)
+			t.Fatalf("seed %d [budget w=%d]: %v\n%s", seed, workers, rep.Err, p)
 		}
 		for a := range racyAddrs(rep) {
 			if !fullAddrs[a] {
-				t.Fatalf("seed %d [budget c=%d]: false positive at %d\n%s",
-					seed, consumers, a, p)
+				t.Fatalf("seed %d [budget w=%d]: false positive at %d\n%s",
+					seed, workers, a, p)
 			}
 		}
 	}
@@ -177,9 +175,9 @@ var samplingShapes = []struct {
 }
 
 // FuzzSamplingNeverFalsePositive is the sampling soundness arm: for any
-// seed, on all four algorithms and every Workers × Consumers
-// configuration, a sampled run must never report a race full detection
-// does not (and rate 1.0 must reproduce full detection exactly).
+// seed, on all four algorithms and Workers ∈ {1,4}, a sampled run must
+// never report a race full detection does not (and rate 1.0 must
+// reproduce full detection exactly).
 func FuzzSamplingNeverFalsePositive(f *testing.F) {
 	for _, s := range []uint64{0, 1, 7, 42, 0xabcdef} {
 		f.Add(s)

@@ -172,9 +172,8 @@ type History struct {
 	// dirs is the flat table root, indexed by pageNumber >> dirBits. It is
 	// published through an atomic pointer and grown copy-on-write (growth
 	// is rare: once per dirSize pages): the serial path is the only writer
-	// when the engine runs a single consumer, while the multi-consumer
-	// batch path grows it under dirMu so any consumer's workers can read
-	// the root lock-free mid-materialization.
+	// outside a fan-out, and the parallel range path grows it under dirMu
+	// so workers can read the root lock-free mid-materialization.
 	dirs  atomic.Pointer[[]*directory]
 	dirMu sync.Mutex
 
@@ -191,19 +190,6 @@ type History struct {
 	// spillMu guards arena and free on the parallel range path; the
 	// serial path uses them directly (the worker pool is quiescent then).
 	spillMu sync.Mutex
-
-	// foldMu serializes multi-consumer counter folds (View.Fold); the
-	// serial and single-consumer paths add to the counters directly.
-	foldMu sync.Mutex
-
-	// Concurrent-install audit (debug assertion for the multi-consumer
-	// back-end): when enabled, every View claims the exact page range of
-	// each op before touching it and the claim panics if it overlaps
-	// another view's active claim — concurrent batches must touch disjoint
-	// pages or the scheduler is broken. See EnableInstallAudit.
-	auditMu     sync.Mutex
-	auditClaims map[int][]PageClaim
-	auditOn     bool
 
 	// stripes guards page materialization on the parallel range path,
 	// selected by page number (see pageForShared).
@@ -306,9 +292,8 @@ func (h *History) growDirs(di uint64) []*directory {
 
 // pageFor returns the page holding page number pn, materializing it on
 // first touch. The last resolved page is cached; sequential scans hit the
-// cache for all but the first word of each page. Serial path only (the
-// engine's single-consumer pipeline); concurrent consumers go through
-// pageForShared.
+// cache for all but the first word of each page. Serial path only; the
+// workers of a fan-out go through pageForShared.
 func (h *History) pageFor(pn uint64) *page {
 	if h.lastPage != nil && h.lastPN == pn {
 		h.pageCacheHits++
@@ -346,10 +331,10 @@ func (h *History) pageFor(pn uint64) *page {
 
 // ResetBatchCaches invalidates the cross-batch carryover state of the
 // serial range path — the single-entry verdict memo and the epoch-transfer
-// memo. The engine calls it at every batch boundary so the serial,
-// single-consumer and multi-consumer pipelines answer the same queries
-// from the same caches: a batch always starts with cold memos, whichever
-// consumer checks it. (The last-page cache is deliberately kept:
+// memo. The engine calls it at every batch boundary so the synchronous
+// and asynchronous pipelines answer the same queries from the same
+// caches: a batch always starts with cold memos, whichever goroutine
+// checks it. (The last-page cache is deliberately kept:
 // page-cache hits are a plumbing counter, excluded from
 // cross-configuration equivalence.)
 func (h *History) ResetBatchCaches() {

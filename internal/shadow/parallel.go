@@ -393,8 +393,7 @@ func (c *chunkState) installWriter(w *word) {
 }
 
 // touchRange is the per-chunk mirror of TouchRange: a pure checksum, so
-// chunk sums add up to the serial result. Accumulates, so a View reusing
-// one chunkState across a batch's ops keeps every op's contribution.
+// chunk sums add up to the serial result.
 func (c *chunkState) touchRange(addr uint64, words int) {
 	var sum uint64
 	for ; words > 0; words-- {
@@ -404,11 +403,10 @@ func (c *chunkState) touchRange(addr uint64, words int) {
 	c.touched += sum
 }
 
-// pageForShared returns the page holding pn on the shared (worker-pool or
-// multi-consumer) path, materializing it under a stripe lock on first
-// touch. A missing directory node is created under dirMu — cheap (once
-// per dirSize pages) and required because concurrent consumers reach here
-// without a serial ensureShared step.
+// pageForShared returns the page holding pn on the shared (worker-pool)
+// path, materializing it under a stripe lock on first touch. A missing
+// directory node is created under dirMu — cheap (once per dirSize pages);
+// ensureShared normally pre-grows them before a fan-out.
 func (h *History) pageForShared(pn uint64) *page {
 	if di := pn >> dirBits; di < maxDirs {
 		slab := *h.dirs.Load()
@@ -457,10 +455,7 @@ func (h *History) pageForShared(pn uint64) *page {
 }
 
 // ensureShared pre-grows the page table for a fan-out over
-// [addr, addr+words) on the single-consumer path, so workers rarely take
-// pageForShared's slow path. Multi-consumer Views skip it — pageForShared
-// is self-sufficient — because ensureShared also invalidates the serial
-// last-page cache, which only the single-consumer path owns.
+// [addr, addr+words), so workers rarely take pageForShared's slow path.
 func (h *History) ensureShared(addr uint64, words int) {
 	first := addr >> PageBits
 	last := (addr + uint64(words) - 1) >> PageBits
@@ -486,9 +481,7 @@ func (h *History) ensureShared(addr uint64, words int) {
 // fanOut splits [addr, addr+words) into pool-chunk-sized jobs, runs them
 // across the pool with the calling goroutine participating, then folds
 // the worker-local counters and the buffered race events — in chunk (=
-// address) order — into sink. The caller owns sink and decides where its
-// contents land (directly into h on the single-consumer path, into a
-// View's batch state on the multi-consumer path).
+// address) order — into sink, which the caller folds into h.
 func (h *History) fanOut(op int, addr uint64, words int, s core.StrandID, ctx *Ctx, p *Pool, sink *chunkState) {
 	nchunks := (words + p.chunk - 1) / p.chunk
 	jobs := make([]chunkJob, nchunks)
@@ -514,10 +507,7 @@ func (h *History) fanOut(op int, addr uint64, words int, s core.StrandID, ctx *C
 	// the channel but runs it inline when the workers are saturated, then
 	// keeps draining until the queue is dry. On a single-CPU machine this
 	// degrades to the serial loop plus channel overhead rather than idle
-	// blocking. With multiple consumers fanning out at once the queue is
-	// shared, so a coordinator may execute another consumer's chunks while
-	// it waits — work conservation, and safe because chunk state is
-	// self-contained.
+	// blocking.
 	for i := range jobs {
 		select {
 		case p.tasks <- &jobs[i]:
@@ -554,9 +544,8 @@ func (h *History) fanOut(op int, addr uint64, words int, s core.StrandID, ctx *C
 	}
 }
 
-// foldInto adds the sink counters of one completed operation (or batch)
-// into the History's totals. The single-consumer path calls it directly;
-// Views fold under foldMu.
+// foldInto adds the sink counters of one completed fan-out into the
+// History's totals.
 func (h *History) foldInto(cs *chunkState) {
 	h.reads += cs.reads
 	h.writes += cs.writes

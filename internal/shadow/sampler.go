@@ -24,10 +24,10 @@
 // package progen tests for the rate-1.0 identity proof.
 //
 // Determinism: the rate test depends only on (seed, address, generation),
-// all of which are identical across the serial, worker-pool and
-// consumer-View pipelines, so with an unlimited budget the sampled access
-// set — and every verdict and counter derived from it — is identical in
-// every Workers × Consumers configuration. A finite budget keeps the
+// all of which are identical across the serial and worker-pool
+// pipelines, so with an unlimited budget the sampled access set — and
+// every verdict and counter derived from it — is identical in every
+// Workers configuration. A finite budget keeps the
 // *totals* deterministic (per page and generation, exactly
 // min(budget, rate-admitted accesses) coupons are consumed) but lets
 // scheduling decide *which* accesses win a coupon when two workers share
@@ -144,10 +144,9 @@ func (h *History) sampleSlow(p *page, addr, gen uint64) bool {
 	return true
 }
 
-// sampleSlow is the worker-local mirror for the fan-out and consumer-View
-// paths: the admission decision is the same pure function (the generation
-// comes from the chunk's pinned Ctx), only the counters land in the
-// chunk's fold set.
+// sampleSlow is the worker-local mirror for the fan-out path: the
+// admission decision is the same pure function (the generation comes
+// from the chunk's Ctx), only the counters land in the chunk's fold set.
 func (c *chunkState) sampleSlow(p *page, addr uint64) bool {
 	sm := &c.h.smp
 	if !sm.admit(addr, c.ctx.Gen) {
