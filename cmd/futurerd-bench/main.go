@@ -37,7 +37,7 @@ func main() {
 	size := flag.String("size", "bench", "input scale: test, quick, bench")
 	validate := flag.Bool("validate", false, "re-validate outputs against sequential references")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
-	workers := flag.Int("workers", 0, "shadow range worker pool width for the detecting configs (<=1 serial)")
+	workers := flag.Int("workers", 0, "check batches on the asynchronous back-end in the detecting configs when > 1 (<=1 inline)")
 	traces := flag.String("traces", "traces", "directory of the committed trace corpus (replay table)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.Parse()

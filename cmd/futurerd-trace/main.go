@@ -23,8 +23,8 @@
 // record executes a benchmark once without detection and writes its
 // event trace (format v2 by default; v1 for migration tooling). replay
 // re-detects a recorded trace — any format, any algorithm, any worker
-// count — and prints the same statistics as run; -workers exercises the
-// parallel range path. A corrupt trace fails with a one-line diagnosis
+// count — and prints the same statistics as run; -workers 2 checks
+// batches on the asynchronous back-end. A corrupt trace fails with a one-line diagnosis
 // and a non-zero exit; -recover instead replays the longest well-formed
 // prefix and reports where and why the stream was cut. stat summarizes a
 // trace: event counts, bytes per event, and the compression ratio against
@@ -120,15 +120,19 @@ func lookup(bench, variant string, sz workloads.SizeClass) func() workloads.Inst
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	mk := b.Structured
-	if variant == "general" {
+	switch variant {
+	case "structured":
+		return b.Structured
+	case "general":
 		if b.General == nil {
 			fmt.Fprintf(os.Stderr, "%s has no general variant\n", b.Name)
 			os.Exit(2)
 		}
-		mk = b.General
+		return b.General
 	}
-	return mk
+	fmt.Fprintf(os.Stderr, "unknown -variant %q\n", variant)
+	os.Exit(2)
+	return nil
 }
 
 func printReport(rep *futurerd.Report, ml futurerd.MemLevel) {
@@ -178,10 +182,6 @@ func printReport(rep *futurerd.Report, ml futurerd.MemLevel) {
 		fmt.Printf("owned skips     %d\n", s.Shadow.OwnedSkips)
 		fmt.Printf("rd-shared skips %d\n", s.Shadow.ReadSharedSkips)
 		fmt.Printf("memo hits       %d\n", s.Shadow.MemoHits)
-		if s.Shadow.ParRanges > 0 {
-			fmt.Printf("par fan-outs    %d ranges, %d chunks\n",
-				s.Shadow.ParRanges, s.Shadow.ParChunks)
-		}
 		fmt.Printf("batches         %d sealed\n", s.Event.Batches)
 	}
 	for _, r := range rep.Races {
@@ -191,12 +191,12 @@ func printReport(rep *futurerd.Report, ml futurerd.MemLevel) {
 
 func cmdRun(args []string) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	benchName := fs.String("bench", "lcs", "benchmark: lcs, sw, mm, heartwall, dedup, bst")
+	benchName := fs.String("bench", "lcs", "benchmark: lcs, sw, mm, heartwall, dedup, bst, pagerank")
 	variant := fs.String("variant", "structured", "workload variant: structured, general")
 	mode := fs.String("mode", "multibags+", "algorithm: multibags, multibags+, spbags, oracle, vc")
 	size := parseSize(fs)
 	mem := fs.String("mem", "full", "memory level: off, instr, full")
-	workers := fs.Int("workers", 0, "shadow range worker pool width (<=1 serial)")
+	workers := fs.Int("workers", 0, "check batches on the asynchronous back-end when > 1 (<=1 inline)")
 	dot := fs.Bool("dot", false, "dump the computation dag as Graphviz (oracle mode)")
 	defer parseWithProfile(fs, args)()
 
@@ -227,7 +227,7 @@ func cmdRun(args []string) {
 
 func cmdRecord(args []string) {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
-	benchName := fs.String("bench", "lcs", "benchmark: lcs, sw, mm, heartwall, dedup, bst")
+	benchName := fs.String("bench", "lcs", "benchmark: lcs, sw, mm, heartwall, dedup, bst, pagerank")
 	variant := fs.String("variant", "structured", "workload variant: structured, general")
 	size := parseSize(fs)
 	format := fs.String("format", "v2", "trace format: v2, v1 (legacy, for migration tooling)")
@@ -267,7 +267,7 @@ func cmdReplay(args []string) {
 	in := fs.String("i", "", "input trace file (required)")
 	mode := fs.String("mode", "multibags+", "algorithm: multibags, multibags+, spbags, oracle, vc")
 	mem := fs.String("mem", "full", "memory level: off, instr, full")
-	workers := fs.Int("workers", 0, "shadow range worker pool width (<=1 serial)")
+	workers := fs.Int("workers", 0, "check batches on the asynchronous back-end when > 1 (<=1 inline)")
 	recover := fs.Bool("recover", false,
 		"replay the longest well-formed prefix of a damaged trace instead of failing")
 	defer parseWithProfile(fs, args)()
@@ -341,7 +341,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "usage: futurerd-trace [run|record|replay|stat] [flags]")
 	fmt.Fprintln(os.Stderr, "  run     detect a benchmark directly and print statistics (default)")
 	fmt.Fprintln(os.Stderr, "  record  write a benchmark's event trace (v2; -format v1 for legacy)")
-	fmt.Fprintln(os.Stderr, "  replay  re-detect a recorded trace (-workers for the parallel path)")
+	fmt.Fprintln(os.Stderr, "  replay  re-detect a recorded trace (-workers 2 for the asynchronous back-end)")
 	fmt.Fprintln(os.Stderr, "  stat    summarize a trace: events, bytes/event, compression ratio")
 	fmt.Fprintln(os.Stderr, "run 'futurerd-trace <subcommand> -h' for the subcommand's flags")
 }

@@ -71,9 +71,8 @@ type Options struct {
 	// Validate re-checks every run's output against the sequential
 	// reference (slower; default off for timing runs).
 	Validate bool
-	// Workers sets Config.Workers for the detecting configurations: bulk
-	// ranges fan out across a shadow worker pool of this width. <=1 keeps
-	// the serial path.
+	// Workers sets Config.Workers for the detecting configurations: > 1
+	// checks batches on the asynchronous back-end, <= 1 inline.
 	Workers int
 }
 

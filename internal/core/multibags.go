@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"futurerd/internal/ds"
-)
+import "futurerd/internal/ds"
 
 // Bag tags. A function instance's bag is either an S-bag (its strands are
 // sequentially before the currently executing strand) or a P-bag (they are
@@ -34,10 +30,8 @@ const (
 type MultiBags struct {
 	st *StrandTable
 	uf *ds.UnionFind
-	// tag is per function id, authoritative only at set roots. Published
-	// (ds.PubSlice) so concurrent Precedes readers index a consistent
-	// snapshot.
-	tag ds.PubSlice[byte]
+	// tag is per function id, authoritative only at set roots.
+	tag []byte
 
 	queries uint64
 	fns     uint64
@@ -46,9 +40,7 @@ type MultiBags struct {
 // NewMultiBags returns a MultiBags instance sharing the engine's strand
 // table.
 func NewMultiBags(st *StrandTable) *MultiBags {
-	m := &MultiBags{st: st, uf: ds.NewUnionFind(64)}
-	m.tag.Grow(64)
-	return m
+	return &MultiBags{st: st, uf: ds.NewUnionFind(64), tag: make([]byte, 64)}
 }
 
 // Name implements Reach.
@@ -56,9 +48,11 @@ func (m *MultiBags) Name() string { return "multibags" }
 
 // makeSBag creates S_F = {F}.
 func (m *MultiBags) makeSBag(f FnID) {
-	m.tag.Grow(int(f) + 1)
+	for int(f) >= len(m.tag) {
+		m.tag = append(m.tag, tagS)
+	}
 	m.uf.MakeSet(uint32(f))
-	m.tag.W()[f] = tagS
+	m.tag[f] = tagS
 	m.fns++
 }
 
@@ -76,7 +70,7 @@ func (m *MultiBags) CreateFut(r CreateRec) { m.makeSBag(r.FutFn) }
 // crucial difference from SP-Bags.
 func (m *MultiBags) Return(r ReturnRec) {
 	root := m.uf.Find(uint32(r.Fn))
-	m.tag.W()[root] = tagP
+	m.tag[root] = tagP
 }
 
 // SyncJoin implements Reach: joining a spawned child is a get_fut on it.
@@ -87,22 +81,21 @@ func (m *MultiBags) GetFut(r GetRec) { m.join(r.Fn, r.FutFn) }
 
 func (m *MultiBags) join(parent, child FnID) {
 	root := m.uf.Union(uint32(parent), uint32(child))
-	m.tag.W()[root] = tagS
+	m.tag[root] = tagS
 }
 
 // Precedes implements Reach (Figure 1, Query): u ≺ v iff u's function is
-// currently in an S-bag. Safe for concurrent use between constructs: the
-// union-find read uses CAS-compressed FindRO on the published parent
-// snapshot, the tag array is read through a published snapshot, and the
-// query counter is atomic.
+// currently in an S-bag.
 func (m *MultiBags) Precedes(u, _ StrandID) bool {
-	atomic.AddUint64(&m.queries, 1)
-	root := m.uf.FindRO(uint32(m.st.FnOf(u)))
-	return m.tag.RO()[root] == tagS
+	m.queries++
+	return m.inSBag(u)
 }
 
-// ConcurrentPrecedesSafe implements QueryConcurrent.
-func (m *MultiBags) ConcurrentPrecedesSafe() bool { return true }
+// inSBag reports whether u's function is currently in an S-bag: the body
+// of Precedes without the query counter.
+func (m *MultiBags) inSBag(u StrandID) bool {
+	return m.tag[m.uf.Find(uint32(m.st.FnOf(u)))] == tagS
+}
 
 // EpochOrdered implements EpochConcurrent with two arms. Same-function
 // stamps transfer: strand ids within one function instance are allocated
@@ -128,8 +121,7 @@ func (m *MultiBags) EpochOrdered(u, v StrandID) bool {
 	if u < v && m.st.FnOf(u) == m.st.FnOf(v) {
 		return true
 	}
-	root := m.uf.FindRO(uint32(m.st.FnOf(u)))
-	return m.tag.RO()[root] == tagS
+	return m.inSBag(u)
 }
 
 // Stats implements Reach.

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"futurerd/internal/ds"
-)
+import "futurerd/internal/ds"
 
 // SPBags is the classic SP-Bags algorithm (Feng & Leiserson 1997) for
 // series-parallel (fork-join only) programs. It is included as the
@@ -31,16 +27,14 @@ import (
 type SPBags struct {
 	st *StrandTable
 	uf *ds.UnionFind
-	// tag is per element, authoritative at roots. Published (ds.PubSlice)
-	// so concurrent Precedes readers index a consistent snapshot.
-	tag ds.PubSlice[byte]
+	// tag is per element, authoritative at roots.
+	tag []byte
 
 	// anchor[f] is the element created when f started; it stays a valid
 	// member of whatever set f's strands currently occupy, so Precedes
-	// can always start its Find there (published, same regime as tag).
-	// pElem[f] is any element of f's current P-bag, or noElem when the
-	// P-bag is empty — applier-private, never read by queries.
-	anchor ds.PubSlice[uint32]
+	// can always start its Find there. pElem[f] is any element of f's
+	// current P-bag, or noElem when the P-bag is empty.
+	anchor []uint32
 	pElem  []uint32
 
 	next    uint32
@@ -59,16 +53,8 @@ func NewSPBags(st *StrandTable) *SPBags {
 func (m *SPBags) Name() string { return "spbags" }
 
 func (m *SPBags) ensureFn(f FnID) {
-	if int(f) < len(m.pElem) {
-		return
-	}
-	old := m.anchor.Len()
-	m.anchor.Grow(int(f) + 1)
-	w := m.anchor.W()
-	for i := old; i < len(w); i++ {
-		w[i] = noElem
-	}
 	for int(f) >= len(m.pElem) {
+		m.anchor = append(m.anchor, noElem)
 		m.pElem = append(m.pElem, noElem)
 	}
 }
@@ -77,14 +63,13 @@ func (m *SPBags) newElem(t byte) uint32 {
 	e := m.next
 	m.next++
 	m.uf.MakeSet(e)
-	m.tag.Grow(int(e) + 1)
-	m.tag.W()[e] = t
+	m.tag = append(m.tag, t)
 	return e
 }
 
 func (m *SPBags) enterFn(f FnID) {
 	m.ensureFn(f)
-	m.anchor.W()[f] = m.newElem(tagS)
+	m.anchor[f] = m.newElem(tagS)
 	m.pElem[f] = noElem
 	m.fns++
 }
@@ -108,9 +93,9 @@ func (m *SPBags) Return(r ReturnRec) {
 	}
 	m.ensureFn(r.ParentFn)
 	m.ensureFn(r.Fn)
-	child := m.anchor.W()[r.Fn]
+	child := m.anchor[r.Fn]
 	croot := m.uf.Find(child)
-	m.tag.W()[croot] = tagP
+	m.tag[croot] = tagP
 	if p := m.pElem[r.ParentFn]; p == noElem {
 		m.pElem[r.ParentFn] = child
 	} else {
@@ -132,23 +117,17 @@ func (m *SPBags) foldP(f FnID) {
 	if p == noElem {
 		return
 	}
-	root := m.uf.Union(m.anchor.W()[f], p)
-	m.tag.W()[root] = tagS
+	root := m.uf.Union(m.anchor[f], p)
+	m.tag[root] = tagS
 	m.pElem[f] = noElem
 }
 
-// Precedes implements Reach. Safe for concurrent use between constructs
-// (CAS-compressed find on the published parent snapshot, atomic counter,
-// tag/anchor read through published snapshots).
+// Precedes implements Reach.
 func (m *SPBags) Precedes(u, _ StrandID) bool {
-	atomic.AddUint64(&m.queries, 1)
-	f := m.st.FnOf(u)
-	root := m.uf.FindRO(m.anchor.RO()[f])
-	return m.tag.RO()[root] == tagS
+	m.queries++
+	root := m.uf.Find(m.anchor[m.st.FnOf(u)])
+	return m.tag[root] == tagS
 }
-
-// ConcurrentPrecedesSafe implements QueryConcurrent.
-func (m *SPBags) ConcurrentPrecedesSafe() bool { return true }
 
 // EpochOrdered implements EpochConcurrent: same-function stamps transfer.
 // If r and s belong to the same function instance F and r executed first

@@ -121,21 +121,6 @@ type Reach interface {
 	Stats() ReachStats
 }
 
-// QueryConcurrent is the optional capability interface for Reach
-// implementations whose Precedes is safe to call from multiple goroutines
-// at once, provided no construct event (Spawn, CreateFut, Return,
-// SyncJoin, GetFut) runs concurrently. Between parallel constructs the
-// reachability relation is immutable, so implementations qualify by
-// making their query path read-only up to atomic bookkeeping: CAS-based
-// union-find path compression and atomic stat counters. The detection
-// engine only fans range detection out across workers when its Reach
-// advertises this capability; otherwise ranges stay on the serial path.
-type QueryConcurrent interface {
-	// ConcurrentPrecedesSafe reports whether concurrent Precedes calls
-	// are safe between constructs.
-	ConcurrentPrecedesSafe() bool
-}
-
 // EpochConcurrent is the optional capability interface behind the shadow
 // layer's carried-forward read epoch. EpochOrdered(r, s) is a cheap,
 // query-free sufficient condition for r ≺ s that additionally promises
@@ -156,11 +141,10 @@ type QueryConcurrent interface {
 // full Precedes.
 //
 // s must be the currently executing strand (same restriction as Precedes);
-// r must be a strand that completed a race-free read earlier. Calls must
-// be safe under the same concurrency regime as QueryConcurrent (concurrent
-// with other queries, never with a construct mutation), and must not count
-// toward ReachStats.Queries — they replace queries rather than add to
-// them.
+// r must be a strand that completed a race-free read earlier. Calls come
+// from the same goroutine as Precedes, between construct mutations, and
+// must not count toward ReachStats.Queries — they replace queries rather
+// than add to them.
 type EpochConcurrent interface {
 	// EpochOrdered reports whether the stamp of reader r transfers its
 	// race-free verdict to the current strand s.

@@ -1,11 +1,5 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"futurerd/internal/ds"
-)
-
 // noSlot marks an absent inline stamp in a vcRep.
 const noSlot = ^uint32(0)
 
@@ -33,7 +27,7 @@ type vcStamp struct{ slot, tick uint32 }
 // C(r)[s] = max(base[s], own if s==own.slot, aux if s==aux.slot), each
 // override at least the base entry by the slot-chain invariant, so lookup
 // is a two-compare dispatch, never a max. A strand's rep is written once,
-// before the strand is published, and never mutated.
+// before the strand is first queried, and never mutated.
 type vcRep struct {
 	base    uint32 // index into vecs; vector 0 is empty
 	own     vcStamp
@@ -41,9 +35,9 @@ type vcRep struct {
 	auxTick uint32
 }
 
-// slotState is the writer-private per-slot bookkeeping: the last tick
-// handed out in the slot's chain, and whether the chain has retired (its
-// final strand was joined) making the slot reusable.
+// slotState is the per-slot bookkeeping: the last tick handed out in the
+// slot's chain, and whether the chain has retired (its final strand was
+// joined) making the slot reusable.
 type slotState struct {
 	tick  uint32
 	freed bool
@@ -75,31 +69,24 @@ type slotState struct {
 // keeps each slot's strand history a happens-before chain, so vector
 // width tracks live parallelism (ReachStats.ClockWidth) rather than total
 // strands.
-//
-// Concurrency: strand reps and base vectors are immutable once published
-// (ds.PubSlice growth; fresh indices only), so Precedes and EpochOrdered
-// are safe from any number of goroutines between constructs
-// (QueryConcurrent).
 type VectorClocks struct {
 	st   *StrandTable
-	reps ds.PubSlice[vcRep]
+	reps []vcRep
 	// vecs holds the materialized base vectors, indexed by vcRep.base.
 	// Entry 0 is the empty vector; later entries are written once at
-	// creation and never mutated. nvecs counts the used entries — Grow
-	// over-allocates (at-least-doubling), so Len() is not the next id.
-	vecs  ds.PubSlice[[]uint32]
-	nvecs uint32
+	// creation and never mutated.
+	vecs [][]uint32
 
-	// Writer-private compaction state: per-slot chain ticks, the LIFO
-	// pool of retired slots, and the high-water mark of the live slot
-	// count (len(slots) - len(free)) that drives adaptive pool scanning
-	// in allocSlot. Queries never read these.
+	// Compaction state: per-slot chain ticks, the LIFO pool of retired
+	// slots, and the high-water mark of the live slot count
+	// (len(slots) - len(free)) that drives adaptive pool scanning in
+	// allocSlot. Queries never read these.
 	slots  []slotState
 	free   []uint32
 	liveHW int
 
-	queries    uint64 // atomic: Precedes calls
-	compares   uint64 // atomic: epoch/clock comparisons (Precedes + EpochOrdered)
+	queries    uint64 // Precedes calls
+	compares   uint64 // epoch/clock comparisons (Precedes + EpochOrdered)
 	inflations uint64
 	clockBytes uint64
 	fns        uint64
@@ -108,21 +95,20 @@ type VectorClocks struct {
 // NewVectorClocks returns a VectorClocks instance sharing the engine's
 // strand table.
 func NewVectorClocks(st *StrandTable) *VectorClocks {
-	v := &VectorClocks{st: st}
-	v.reps.Grow(64)
-	v.vecs.Grow(1) // vector 0: the empty clock
-	v.nvecs = 1
-	v.slots = make([]slotState, 0, 16)
-	return v
+	return &VectorClocks{
+		st:    st,
+		reps:  make([]vcRep, 64),
+		vecs:  [][]uint32{nil}, // vector 0: the empty clock
+		slots: make([]slotState, 0, 16),
+	}
 }
 
 // Name implements Reach.
 func (v *VectorClocks) Name() string { return "vc" }
 
-// lookup returns C(r)[s] against the given vector snapshot: the newest
-// tick of slot s among the strands preceding (or equal to) the strand r
-// represents. Safe for concurrent readers when vecs came from a published
-// snapshot.
+// lookup returns C(r)[s] against the given base vectors: the newest tick
+// of slot s among the strands preceding (or equal to) the strand r
+// represents.
 func lookup(r *vcRep, vecs [][]uint32, s uint32) uint32 {
 	if s == r.own.slot {
 		return r.own.tick
@@ -137,19 +123,19 @@ func lookup(r *vcRep, vecs [][]uint32, s uint32) uint32 {
 	return 0
 }
 
-// setRep publishes the rep of freshly created strand s. The element write
-// lands on an index no published reader can name; the batch hand-off
-// orders it before any query that may.
+// setRep records the rep of freshly created strand s.
 func (v *VectorClocks) setRep(s StrandID, r vcRep) {
-	v.reps.Grow(int(s) + 1)
-	v.reps.W()[s] = r
+	for int(s) >= len(v.reps) {
+		v.reps = append(v.reps, vcRep{})
+	}
+	v.reps[s] = r
 }
 
 // materialize builds r's full clock as a fresh vector at the current
 // width.
 func (v *VectorClocks) materialize(r *vcRep) []uint32 {
 	vec := make([]uint32, len(v.slots))
-	copy(vec, v.vecs.W()[r.base])
+	copy(vec, v.vecs[r.base])
 	if r.auxSlot != noSlot && vec[r.auxSlot] < r.auxTick {
 		vec[r.auxSlot] = r.auxTick
 	}
@@ -161,7 +147,7 @@ func (v *VectorClocks) materialize(r *vcRep) []uint32 {
 
 // foldInto raises vec to vec ⊔ C(r) pointwise.
 func (v *VectorClocks) foldInto(vec []uint32, r *vcRep) {
-	for s, t := range v.vecs.W()[r.base] {
+	for s, t := range v.vecs[r.base] {
 		if vec[s] < t {
 			vec[s] = t
 		}
@@ -174,12 +160,10 @@ func (v *VectorClocks) foldInto(vec []uint32, r *vcRep) {
 	}
 }
 
-// addVec publishes a freshly materialized vector and returns its id.
+// addVec records a freshly materialized vector and returns its id.
 func (v *VectorClocks) addVec(vec []uint32) uint32 {
-	id := v.nvecs
-	v.nvecs++
-	v.vecs.Grow(int(v.nvecs))
-	v.vecs.W()[id] = vec
+	id := uint32(len(v.vecs))
+	v.vecs = append(v.vecs, vec)
 	v.inflations++
 	v.clockBytes += 4 * uint64(len(vec))
 	return id
@@ -202,14 +186,13 @@ func (v *VectorClocks) addVec(vec []uint32) uint32 {
 // column. Pressure is rare (the LIFO top almost always hits), so the
 // deep scan does not change the common-case cost.
 func (v *VectorClocks) allocSlot(parent *vcRep) uint32 {
-	vecs := v.vecs.W()
 	depth := compactScan
 	if live := len(v.slots) - len(v.free); live+1 <= v.liveHW {
 		depth = len(v.free)
 	}
 	for i, scanned := len(v.free)-1, 0; i >= 0 && scanned < depth; i, scanned = i-1, scanned+1 {
 		s := v.free[i]
-		if lookup(parent, vecs, s) >= v.slots[s].tick {
+		if lookup(parent, v.vecs, s) >= v.slots[s].tick {
 			v.free = append(v.free[:i], v.free[i+1:]...)
 			v.slots[s].freed = false
 			if live := len(v.slots) - len(v.free); live > v.liveHW {
@@ -265,10 +248,10 @@ func (v *VectorClocks) CreateFut(r CreateRec) {
 // its clock has two inline overrides already and the child's would be a
 // third — so the fork's clock inflates to a new base first (at most once
 // per task: both successors adopt the materialized base aux-free, and so
-// do all their continuations). The fork strand's published rep is never
+// do all their continuations). The fork strand's recorded rep is never
 // touched.
 func (v *VectorClocks) fork(fork, childFirst, contFirst StrandID) {
-	f := v.reps.W()[fork]
+	f := v.reps[fork]
 	if f.auxSlot != noSlot {
 		f.base = v.addVec(v.materialize(&f))
 		f.auxSlot = noSlot
@@ -307,15 +290,14 @@ func (v *VectorClocks) GetFut(r GetRec) { v.join(r.FutLast, r.Getter, r.Cont) }
 // real fan-in and the joined clock materializes. Either way the branch's
 // chain is over and its slot retires for reuse.
 func (v *VectorClocks) join(branch, cur, next StrandID) {
-	reps := v.reps.W()
-	b, c := reps[branch], reps[cur]
+	b, c := v.reps[branch], v.reps[cur]
 	v.slots[c.own.slot].tick++
 	nr := vcRep{
 		base:    c.base,
 		own:     vcStamp{slot: c.own.slot, tick: v.slots[c.own.slot].tick},
 		auxSlot: c.auxSlot, auxTick: c.auxTick,
 	}
-	if lookup(&c, v.vecs.W(), b.own.slot) < b.own.tick {
+	if lookup(&c, v.vecs, b.own.slot) < b.own.tick {
 		vec := v.materialize(&c)
 		v.foldInto(vec, &b)
 		nr.base = v.addVec(vec)
@@ -326,30 +308,25 @@ func (v *VectorClocks) join(branch, cur, next StrandID) {
 }
 
 // ordered is the one clock comparison behind Precedes and EpochOrdered:
-// u ≼ v iff v's clock has reached u's epoch. All loads go through
-// published snapshots, so it is safe from concurrent readers.
+// u ≼ v iff v's clock has reached u's epoch.
 func (v *VectorClocks) ordered(u, w StrandID) bool {
-	atomic.AddUint64(&v.compares, 1)
-	reps := v.reps.RO()
-	ru, rw := &reps[u], &reps[w]
+	v.compares++
+	ru, rw := &v.reps[u], &v.reps[w]
 	if ru.own.slot == rw.own.slot {
 		return ru.own.tick <= rw.own.tick
 	}
 	if ru.own.slot == rw.auxSlot {
 		return ru.own.tick <= rw.auxTick
 	}
-	b := v.vecs.RO()[rw.base]
+	b := v.vecs[rw.base]
 	return int(ru.own.slot) < len(b) && ru.own.tick <= b[ru.own.slot]
 }
 
 // Precedes implements Reach.
 func (v *VectorClocks) Precedes(u, w StrandID) bool {
-	atomic.AddUint64(&v.queries, 1)
+	v.queries++
 	return v.ordered(u, w)
 }
-
-// ConcurrentPrecedesSafe implements QueryConcurrent.
-func (v *VectorClocks) ConcurrentPrecedesSafe() bool { return true }
 
 // EpochOrdered implements EpochConcurrent: the same clock comparison,
 // without the query counter (stamp transfers replace queries rather than
@@ -368,8 +345,8 @@ func (v *VectorClocks) EpochOrdered(r, s StrandID) bool {
 // has no union-find and no R-dag, which is the point.
 func (v *VectorClocks) Stats() ReachStats {
 	return ReachStats{
-		Queries:         atomic.LoadUint64(&v.queries),
-		ClockCompares:   atomic.LoadUint64(&v.compares),
+		Queries:         v.queries,
+		ClockCompares:   v.compares,
 		ClockInflations: v.inflations,
 		ClockBytes:      v.clockBytes,
 		ClockWidth:      uint64(len(v.slots)),

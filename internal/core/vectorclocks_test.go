@@ -218,8 +218,7 @@ func TestClockPoolAdapts(t *testing.T) {
 	}
 }
 
-// TestVectorClocksCapabilities pins the full concurrency surface: shadow
-// worker fan-out (QueryConcurrent) and cross-generation stamp transfer
+// TestVectorClocksCapabilities pins the cross-generation stamp transfer
 // (EpochConcurrent) that never counts as a query.
 func TestVectorClocksCapabilities(t *testing.T) {
 	st := newTable(8)
@@ -230,10 +229,6 @@ func TestVectorClocksCapabilities(t *testing.T) {
 		t.Fatalf("Name() = %q, want vc", v.Name())
 	}
 	var r Reach = v
-	qc, ok := r.(QueryConcurrent)
-	if !ok || !qc.ConcurrentPrecedesSafe() {
-		t.Fatal("vc must advertise concurrent-query safety")
-	}
 	ec, ok := r.(EpochConcurrent)
 	if !ok {
 		t.Fatal("vc must implement EpochConcurrent")

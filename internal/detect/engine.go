@@ -85,9 +85,9 @@ type Engine struct {
 	nudgeAt          int
 	submittedVersion uint64
 
-	// pool, when non-nil, is the shadow worker pool bulk ranges fan out
-	// across (Config.Workers > 1 and a concurrent-query-safe algorithm).
-	pool *shadow.Pool
+	// constructAhead bounds how many construct mutations vr may hold
+	// ahead of the back-end (core.DefaultConstructAhead outside tests).
+	constructAhead int
 
 	// evStats counts batch-pipeline traffic (Stats.Event) at seal time on
 	// the engine goroutine, so it is deterministic.
@@ -153,13 +153,18 @@ type Engine struct {
 }
 
 // NewEngine builds an engine for one run. Engines are single-use.
-func NewEngine(cfg Config) *Engine {
+func NewEngine(cfg Config) *Engine { return newEngine(cfg, core.DefaultConstructAhead) }
+
+// newEngine is NewEngine with an explicit construct-ahead window, which
+// tests shrink to stress the versioned log's back-pressure.
+func newEngine(cfg Config, constructAhead int) *Engine {
 	e := &Engine{
-		cfg:       cfg,
-		detecting: cfg.Mode != ModeNone,
-		mem:       cfg.Mem,
-		maxRaces:  cfg.MaxRaces,
-		faults:    cfg.Faults,
+		cfg:            cfg,
+		detecting:      cfg.Mode != ModeNone,
+		mem:            cfg.Mem,
+		maxRaces:       cfg.MaxRaces,
+		faults:         cfg.Faults,
+		constructAhead: constructAhead,
 	}
 	if e.maxRaces <= 0 {
 		e.maxRaces = DefaultMaxRaces
@@ -180,14 +185,9 @@ func NewEngine(cfg Config) *Engine {
 		case MemInstr:
 			// Instrumentation-only is meaningful without detection (it
 			// measures pure hook overhead); it needs the history for its
-			// checksum state. The worker pool applies here too, so the
-			// instrumentation baseline stays comparable to detecting runs
-			// configured with the same Workers.
+			// checksum state.
 			e.hist = shadow.NewHistory()
 			e.hist.SetFaults(cfg.Faults)
-			if cfg.Workers > 1 {
-				e.pool = shadow.NewPool(cfg.Workers, cfg.WorkerChunk)
-			}
 		}
 		e.initPipeline(cfg)
 		return e
@@ -224,15 +224,6 @@ func NewEngine(cfg Config) *Engine {
 			// Tier-1 sampling sits between the shadow layer's free skips
 			// and the protocol; it only exists where the protocol runs.
 			e.hist.SetSampling(cfg.Sampling.Rate, cfg.Sampling.Budget, cfg.Sampling.Seed)
-		}
-	}
-	if cfg.Workers > 1 && cfg.Mem != MemOff {
-		// The pool only engages when every Precedes the workers can make
-		// is safe to run concurrently between constructs. MemInstr makes
-		// no queries, so any mode qualifies there.
-		qc, ok := e.reach.(core.QueryConcurrent)
-		if cfg.Mem == MemInstr || (ok && qc.ConcurrentPrecedesSafe()) {
-			e.pool = shadow.NewPool(cfg.Workers, cfg.WorkerChunk)
 		}
 	}
 	e.raceSeen = make(map[uint64]uint64)
@@ -272,7 +263,7 @@ func (e *Engine) initPipeline(cfg Config) {
 	}
 	if cfg.Workers > 1 {
 		if e.detecting {
-			e.vr = core.NewVersioned(e.reach, cfg.ConstructAhead)
+			e.vr = core.NewVersioned(e.reach, e.constructAhead)
 			e.nudgeAt = e.vr.Window() / 2
 			if e.nudgeAt < 1 {
 				e.nudgeAt = 1
@@ -320,12 +311,9 @@ func (e *Engine) Run(root func(*Task)) *Report {
 		return e.report()
 	}
 	t := &Task{ex: e}
-	// Release the range workers on every exit path, including a genuine
-	// user panic that the recover below re-raises (Close is idempotent
-	// and nil-safe; report() also closes for the error-config path).
-	// The detection back-end stops first (LIFO defers): it drains its
-	// in-flight batches, which may still be fanning out across the pool.
-	defer e.pool.Close()
+	// Stop the detection back-end on every exit path, including a genuine
+	// user panic that the recover below re-raises (stop is idempotent and
+	// nil-safe).
 	defer e.be.stop()
 	if e.detecting {
 		t.fn = e.newFn()
@@ -368,7 +356,6 @@ func (e *Engine) report() *Report {
 	if e.vr != nil {
 		e.vr.Drain() // post-run mutation drain; no-op after a failure
 	}
-	e.pool.Close() // release the range workers (nil-safe)
 	if v, ok := e.reach.(*verifyReach); ok {
 		if mbp, ok := v.algo.(*core.MultiBagsPlus); ok {
 			for _, s := range mbp.Violations {
@@ -781,8 +768,7 @@ func (e *Engine) flushBatch() {
 // by batch.Version — the back-end consumer applies pending construct
 // mutations up to exactly that version first, so in-flight checks never
 // observe a relation newer than the one the accesses executed under.
-// Large coalesced ranges additionally fan out across the shadow worker
-// pool. Runs on the back-end goroutine when the pipeline is asynchronous,
+// Runs on the back-end goroutine when the pipeline is asynchronous,
 // inline otherwise.
 func (e *Engine) processBatch(b *event.Batch) {
 	if e.faults.Fire(faultinject.ConsumerPanic) {
@@ -803,24 +789,16 @@ func (e *Engine) processBatch(b *event.Batch) {
 		for i := range b.Ops {
 			op := &b.Ops[i]
 			if op.Kind == event.Read {
-				if e.pool != nil {
-					e.hist.ReadRangePar(op.Addr, op.Words, b.Strand, &ctx, e.pool)
-				} else {
-					e.hist.ReadRange(op.Addr, op.Words, b.Strand, &ctx)
-				}
+				e.hist.ReadRange(op.Addr, op.Words, b.Strand, &ctx)
 			} else {
-				if e.pool != nil {
-					e.hist.WriteRangePar(op.Addr, op.Words, b.Strand, &ctx, e.pool)
-				} else {
-					e.hist.WriteRange(op.Addr, op.Words, b.Strand, &ctx)
-				}
+				e.hist.WriteRange(op.Addr, op.Words, b.Strand, &ctx)
 			}
 		}
 		return
 	}
 	// MemInstr: decode-only traffic.
 	for i := range b.Ops {
-		e.hist.TouchRangePar(b.Ops[i].Addr, b.Ops[i].Words, e.pool)
+		e.hist.TouchRange(b.Ops[i].Addr, b.Ops[i].Words)
 	}
 }
 

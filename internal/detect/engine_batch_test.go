@@ -59,9 +59,7 @@ func TestBatchOverflowFlushesMidWindow(t *testing.T) {
 }
 
 // TestAsyncBackendMatchesSerial compares a Workers=4 run (asynchronous
-// back-end; pool engaged where the algorithm allows) against Workers=1
-// for every algorithm — including the oracle, which gets the async
-// back-end but never the intra-range pool.
+// back-end) against Workers=1 for every algorithm, the oracle included.
 func TestAsyncBackendMatchesSerial(t *testing.T) {
 	prog := func(t *Task) {
 		h := t.CreateFut(func(ft *Task) any {
@@ -79,8 +77,7 @@ func TestAsyncBackendMatchesSerial(t *testing.T) {
 	for _, mode := range []Mode{ModeSPBags, ModeMultiBags, ModeMultiBagsPlus, ModeOracle} {
 		serial := NewEngine(Config{Mode: mode, Mem: MemFull, MaxRaces: 1 << 20}).Run(prog)
 		async := NewEngine(Config{
-			Mode: mode, Mem: MemFull, MaxRaces: 1 << 20,
-			Workers: 4, WorkerChunk: 64,
+			Mode: mode, Mem: MemFull, MaxRaces: 1 << 20, Workers: 4,
 		}).Run(prog)
 		if serial.Err != nil || async.Err != nil {
 			t.Fatalf("%v: errs %v / %v", mode, serial.Err, async.Err)
@@ -97,10 +94,7 @@ func TestAsyncBackendMatchesSerial(t *testing.T) {
 					mode, i, serial.Races[i], async.Races[i])
 			}
 		}
-		ss, as := serial.Stats.Shadow, async.Stats.Shadow
-		if ss.Reads != as.Reads || ss.Writes != as.Writes ||
-			ss.OwnedSkips != as.OwnedSkips || ss.ReaderAppends != as.ReaderAppends ||
-			ss.ReaderFlushes != as.ReaderFlushes {
+		if ss, as := serial.Stats.Shadow, async.Stats.Shadow; ss != as {
 			t.Fatalf("%v: shadow counters diverge\nserial %+v\nasync  %+v", mode, ss, as)
 		}
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // These tests pin the pipeline equivalence guarantee: the serial engine
-// and every Workers configuration (range fan-out plus the asynchronous
-// back-end) produce verdict-, order- and counter-identical reports.
+// and every Workers configuration (the asynchronous back-end) produce
+// verdict-, order- and counter-identical reports.
 
 // mixedProg mixes every pipeline regime: a wide fan-out of leaf tasks
 // over disjoint pages, children sharing racy pages (ordered race
@@ -44,16 +44,14 @@ func mixedProg(tk *Task) {
 	tk.Sync()
 }
 
-// equivStats prepares a report's Stats for a deep-equal against another
-// pipeline configuration: the worker pool's plumbing counters (fan-out
-// counts, per-worker page-cache locality) are zeroed. The always-zero
-// Event fields must really be zero.
+// equivStats returns a report's Stats for a deep-equal against another
+// pipeline configuration, after checking that the always-zero Event
+// fields really are zero.
 func equivStats(t *testing.T, label string, s Stats) Stats {
 	t.Helper()
 	if ev := s.Event; ev != (event.Stats{Batches: ev.Batches}) {
 		t.Fatalf("%s: always-zero event counters are set: %+v", label, ev)
 	}
-	s.Shadow.ParRanges, s.Shadow.ParChunks, s.Shadow.PageCacheHits = 0, 0, 0
 	return s
 }
 
@@ -101,12 +99,10 @@ func checkWorkersEquivalent(t *testing.T, cfg Config, prog func(*Task)) *Report 
 }
 
 // TestWorkersStatsEquivalence is the acceptance check: across all four
-// concurrent-query algorithms × Workers ∈ {1,4}, the race stream
-// (content and order), the violations and the full Stats — shadow
-// protocol traffic, both epoch fast paths, memo hits, reachability
-// queries, batch counts — must deep-equal the serial run. Only the
-// pool's plumbing counters (fan-out counts, per-worker page-cache
-// locality) may differ.
+// reachability algorithms × Workers ∈ {1,4}, the race stream (content
+// and order), the violations and the full Stats — shadow protocol
+// traffic, both epoch fast paths, memo and page-cache hits, reachability
+// queries, batch counts — must deep-equal the serial run.
 func TestWorkersStatsEquivalence(t *testing.T) {
 	for _, mode := range []Mode{ModeSPBags, ModeMultiBags, ModeMultiBagsPlus, ModeVectorClocks} {
 		checkWorkersEquivalent(t, Config{Mode: mode, Mem: MemFull, MaxRaces: 1 << 20}, mixedProg)

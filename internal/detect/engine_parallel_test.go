@@ -3,6 +3,7 @@ package detect
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -146,7 +147,7 @@ func TestTruncationCounters(t *testing.T) {
 }
 
 // parallelProg builds a program with bulk cross-strand traffic: racy and
-// race-free ranges big enough to fan out with a small worker chunk.
+// race-free ranges, futures and a spawn.
 func parallelProg(n int) func(*Task) {
 	return func(t *Task) {
 		h := t.CreateFut(func(ft *Task) any {
@@ -164,8 +165,8 @@ func parallelProg(n int) func(*Task) {
 }
 
 // TestWorkersVerdictEquivalence runs the same program serially and with
-// worker pools of several widths; the reports must agree on every race,
-// in content and order, and on the deterministic protocol counters.
+// several Workers settings; the reports must agree on every race, in
+// content and order, and on every shadow counter.
 func TestWorkersVerdictEquivalence(t *testing.T) {
 	const n = 5000
 	for _, mode := range []Mode{ModeSPBags, ModeMultiBags, ModeMultiBagsPlus} {
@@ -177,14 +178,10 @@ func TestWorkersVerdictEquivalence(t *testing.T) {
 		for _, workers := range []int{2, 4, 8} {
 			t.Run(fmt.Sprintf("%v_w%d", mode, workers), func(t *testing.T) {
 				par := NewEngine(Config{
-					Mode: mode, Mem: MemFull, MaxRaces: 3 * n,
-					Workers: workers, WorkerChunk: 512,
+					Mode: mode, Mem: MemFull, MaxRaces: 3 * n, Workers: workers,
 				}).Run(parallelProg(n))
 				if par.Err != nil {
 					t.Fatal(par.Err)
-				}
-				if par.Stats.Shadow.ParRanges == 0 {
-					t.Fatal("worker pool never engaged")
 				}
 				if len(par.Races) != len(serial.Races) ||
 					par.Stats.RaceCount != serial.Stats.RaceCount {
@@ -198,21 +195,17 @@ func TestWorkersVerdictEquivalence(t *testing.T) {
 							i, serial.Races[i], par.Races[i])
 					}
 				}
-				ss, ps := serial.Stats.Shadow, par.Stats.Shadow
-				if ss.Reads != ps.Reads || ss.Writes != ps.Writes ||
-					ss.OwnedSkips != ps.OwnedSkips ||
-					ss.ReaderAppends != ps.ReaderAppends ||
-					ss.ReaderFlushes != ps.ReaderFlushes {
-					t.Fatalf("protocol counters diverge:\nserial %+v\npar    %+v", ss, ps)
+				if ss, ps := serial.Stats.Shadow, par.Stats.Shadow; ss != ps {
+					t.Fatalf("shadow counters diverge:\nserial %+v\npar    %+v", ss, ps)
 				}
 			})
 		}
 	}
 }
 
-// TestWorkersSerialPathUntouched: Workers<=1 must not construct a pool,
-// and unsupported configurations (oracle, Verify) must stay serial even
-// when Workers asks for more.
+// TestWorkersSerialPathUntouched: Workers <= 1 checks batches inline and
+// starts no back-end; Workers > 1 starts exactly one, for the oracle and
+// Verify runs too, and their reports match the inline run's.
 func TestWorkersSerialPathUntouched(t *testing.T) {
 	for _, cfg := range []Config{
 		{Mode: ModeMultiBags, Mem: MemFull, Workers: 1},
@@ -220,36 +213,44 @@ func TestWorkersSerialPathUntouched(t *testing.T) {
 		{Mode: ModeOracle, Mem: MemFull, Workers: 8},
 		{Mode: ModeMultiBagsPlus, Mem: MemFull, Workers: 8, Verify: true},
 	} {
-		rep := NewEngine(cfg).Run(parallelProg(2000))
+		e := NewEngine(cfg)
+		if async := e.be != nil; async != (cfg.Workers > 1) {
+			t.Fatalf("%+v: asynchronous back-end = %v", cfg, async)
+		}
+		rep := e.Run(parallelProg(2000))
 		if rep.Err != nil {
 			t.Fatalf("%+v: %v", cfg, rep.Err)
 		}
-		if rep.Stats.Shadow.ParRanges != 0 {
-			t.Fatalf("%+v fanned out; want serial", cfg)
+		inline := cfg
+		inline.Workers = 0
+		want := NewEngine(inline).Run(parallelProg(2000))
+		if !reflect.DeepEqual(want.Races, rep.Races) || !reflect.DeepEqual(want.Stats, rep.Stats) {
+			t.Fatalf("%+v diverges from the inline run:\ninline %+v\ngot    %+v", cfg, want.Stats, rep.Stats)
 		}
 	}
 }
 
-// TestWorkersInstrumentationLevel: the pool also serves MemInstr (pure
-// checksum traffic), where any mode qualifies — including ModeNone, so
-// the instrumentation baseline stays comparable to detecting runs with
-// the same Workers setting.
+// TestWorkersInstrumentationLevel: MemInstr (pure checksum traffic) runs
+// on the asynchronous back-end in any mode — including ModeNone, so the
+// instrumentation baseline stays comparable to detecting runs with the
+// same Workers setting — and counts what the inline run counts.
 func TestWorkersInstrumentationLevel(t *testing.T) {
+	prog := func(t *Task) { t.WriteRange(1, 1<<15) }
 	for _, mode := range []Mode{ModeMultiBags, ModeNone} {
-		par := NewEngine(Config{Mode: mode, Mem: MemInstr, Workers: 4}).
-			Run(func(t *Task) { t.WriteRange(1, 1<<15) })
-		if par.Err != nil {
-			t.Fatalf("%v: %v", mode, par.Err)
+		inline := NewEngine(Config{Mode: mode, Mem: MemInstr}).Run(prog)
+		par := NewEngine(Config{Mode: mode, Mem: MemInstr, Workers: 4}).Run(prog)
+		if par.Err != nil || inline.Err != nil {
+			t.Fatalf("%v: %v / %v", mode, inline.Err, par.Err)
 		}
-		if par.Stats.Shadow.ParRanges == 0 {
-			t.Fatalf("%v: MemInstr pool never engaged", mode)
+		if !reflect.DeepEqual(inline.Stats, par.Stats) {
+			t.Fatalf("%v: stats diverge:\ninline %+v\nasync  %+v", mode, inline.Stats, par.Stats)
 		}
 	}
-	// Checksum equality with the serial path is pinned in the shadow tests.
+	// Checksum equality with the per-word path is pinned in the shadow tests.
 }
 
 // TestPoolReleasedOnUserPanic: a panic in user code must not leak the
-// worker goroutines (Run defers the pool close before re-panicking).
+// detection back-end goroutine (Run stops it before re-panicking).
 func TestPoolReleasedOnUserPanic(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
@@ -257,18 +258,19 @@ func TestPoolReleasedOnUserPanic(t *testing.T) {
 			defer func() { _ = recover() }()
 			NewEngine(Config{Mode: ModeMultiBags, Mem: MemFull, Workers: 8}).
 				Run(func(t *Task) {
-					t.WriteRange(1, 1<<15) // engage the pool first
+					t.WriteRange(1, 1<<15) // hand the back-end a batch first
+					t.Spawn(func(*Task) {})
 					panic("user bug")
 				})
 		}()
 	}
-	// Workers exit asynchronously after the channel close; give them a
-	// moment before comparing.
+	// The back-end exits asynchronously after its channel closes; give it
+	// a moment before comparing.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if g := runtime.NumGoroutine(); g > before+2 {
-		t.Fatalf("goroutines grew from %d to %d: pool leaked on panic", before, g)
+		t.Fatalf("goroutines grew from %d to %d: back-end leaked on panic", before, g)
 	}
 }

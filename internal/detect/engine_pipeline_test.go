@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"futurerd/internal/core"
 	"futurerd/internal/event"
 )
 
@@ -89,13 +90,10 @@ func TestConstructAheadWindowBounded(t *testing.T) {
 	if serial.Err != nil {
 		t.Fatal(serial.Err)
 	}
-	for _, window := range []int{1, 2, 8, 0 /* default */} {
+	for _, window := range []int{1, 2, 8, core.DefaultConstructAhead} {
 		done := make(chan *Report, 1)
 		go func() {
-			done <- NewEngine(Config{
-				Mode: ModeMultiBagsPlus, Mem: MemFull,
-				Workers: 2, ConstructAhead: window,
-			}).Run(prog)
+			done <- newEngine(Config{Mode: ModeMultiBagsPlus, Mem: MemFull, Workers: 2}, window).Run(prog)
 		}()
 		var rep *Report
 		select {
@@ -145,27 +143,22 @@ func TestConstructAheadEquivalence(t *testing.T) {
 		if serial.Err != nil {
 			t.Fatalf("%v: %v", mode, serial.Err)
 		}
-		for _, cfg := range []Config{
-			{Mode: mode, Mem: MemFull, MaxRaces: 1 << 20, Workers: 2},
-			{Mode: mode, Mem: MemFull, MaxRaces: 1 << 20, Workers: 4, ConstructAhead: 2},
+		for _, arm := range []struct{ workers, window int }{
+			{2, core.DefaultConstructAhead},
+			{4, 2},
 		} {
-			rep := NewEngine(cfg).Run(prog)
+			window := arm.window
+			rep := newEngine(Config{Mode: mode, Mem: MemFull, MaxRaces: 1 << 20, Workers: arm.workers}, window).Run(prog)
 			if rep.Err != nil {
-				t.Fatalf("%v workers=%d: %v", mode, cfg.Workers, rep.Err)
+				t.Fatalf("%v window=%d: %v", mode, window, rep.Err)
 			}
 			if !reflect.DeepEqual(serial.Races, rep.Races) {
-				t.Fatalf("%v workers=%d: race streams diverge", mode, cfg.Workers)
+				t.Fatalf("%v window=%d: race streams diverge", mode, window)
 			}
 			ss, as := serial.Stats, rep.Stats
-			// The pool legitimately changes its own plumbing counters
-			// (fan-out counts, per-worker page-cache locality); everything
-			// else — verdicts, protocol traffic, both epoch fast paths,
-			// reachability traffic — must be identical.
-			ss.Shadow.ParRanges, ss.Shadow.ParChunks, ss.Shadow.PageCacheHits = 0, 0, 0
-			as.Shadow.ParRanges, as.Shadow.ParChunks, as.Shadow.PageCacheHits = 0, 0, 0
 			if !reflect.DeepEqual(ss, as) {
-				t.Fatalf("%v workers=%d stats diverge:\nserial %+v\nasync  %+v",
-					mode, cfg.Workers, ss, as)
+				t.Fatalf("%v window=%d stats diverge:\nserial %+v\nasync  %+v",
+					mode, window, ss, as)
 			}
 			if as.Shadow.ReadSharedSkips == 0 {
 				t.Fatalf("%v: program never exercised the read-shared fast path", mode)

@@ -90,25 +90,16 @@ type Config struct {
 	Mode Mode
 	Mem  MemLevel
 
-	// Workers sets the width of the shadow range-detection worker pool:
-	// bulk ReadRange/WriteRange/TouchRange accesses above a chunk
-	// threshold are split into chunks processed concurrently, exploiting
-	// the fact that the reachability relation is immutable between
-	// parallel constructs. Workers <= 1 keeps every access on the exact
-	// serial path. The pool only engages when Mem is MemFull or MemInstr
-	// and the selected algorithm supports concurrent queries (SP-Bags,
-	// MultiBags, MultiBags+, vc); the oracle and Verify runs stay serial.
-	// Workers > 1 also moves batch detection onto one asynchronous
-	// back-end goroutine that overlaps continued program execution (see
-	// ConstructAhead), for every mode. Race reports are identical, in
+	// Workers > 1 checks sealed access batches on one asynchronous
+	// back-end goroutine, in seal order, while the program keeps
+	// executing on the engine goroutine; any value above 2 acts like 2.
+	// The reachability relation is versioned, so parallel constructs do
+	// not wait for in-flight checks: the engine may record up to
+	// core.DefaultConstructAhead construct mutations ahead of the
+	// back-end before it back-pressures. Workers <= 1 checks every batch
+	// inline. Race reports, violations and Stats are identical, in
 	// content and order, to a serial run.
 	Workers int
-
-	// WorkerChunk overrides the words-per-chunk granule of the parallel
-	// range path (0 means the shadow layer's default). Ranges shorter
-	// than two chunks stay serial. Exposed for tuning and for tests that
-	// need to exercise the fan-out on small ranges.
-	WorkerChunk int
 
 	// BatchOps overrides the op cap of one access-event batch (0 means
 	// event.MaxOps): a batch that reaches the cap flushes mid-window so
@@ -116,17 +107,6 @@ type Config struct {
 	// Exposed for the BenchmarkBatchCap sweep; verdicts are identical for
 	// any cap ≥ 1.
 	BatchOps int
-
-	// ConstructAhead bounds how many construct mutations the engine may
-	// record ahead of the asynchronous detection back-end (Workers > 1):
-	// the reachability relation is versioned, sealed batches carry the
-	// version they were recorded under, and parallel constructs proceed
-	// without waiting for in-flight batch checks — up to this window, at
-	// which point the engine back-pressures. 0 means
-	// core.DefaultConstructAhead. Irrelevant for Workers <= 1, where the
-	// pipeline is synchronous. Reports are verdict-, order- and
-	// counter-identical for any window.
-	ConstructAhead int
 
 	// MaxRaces caps the number of distinct races collected in the report
 	// (detection continues and keeps counting). 0 means DefaultMaxRaces.
@@ -205,11 +185,9 @@ type Sampling struct {
 	// Budget, when > 0, additionally bounds admissions per shadow page
 	// per construct generation with a coupon refreshed at each new
 	// generation, so repeated hot-page traffic converges to O(1) sampled
-	// accesses per page per epoch regardless of Rate. The totals stay
-	// deterministic, but under a concurrent pipeline the schedule decides
-	// which accesses win a page's last coupons — budgeted runs promise
-	// the race-subset property, not cross-configuration identity. 0 means
-	// unlimited.
+	// accesses per page per epoch regardless of Rate. Coupons are spent
+	// in batch seal order, so budgeted runs are identical across Workers
+	// configurations too. 0 means unlimited.
 	Budget int
 
 	// Seed drives the deterministic admission hash; two runs with the

@@ -31,54 +31,11 @@ func fuzzOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 	}
 }
 
-// parallelOne asserts the verdict-set equivalence of the worker-pool
-// range path against the serial engine on one generated program: same
-// races (content and order — the parallel path delivers events in chunk
-// order, which is address order), same observation count, same protocol
-// counters. The tiny WorkerChunk forces even progen's short ranges to
-// fan out across real workers.
-func parallelOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
-	t.Helper()
-	p := Generate(seed, opts)
-	serial := detect.NewEngine(detect.Config{
-		Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20,
-	}).Run(p.Run)
-	par := detect.NewEngine(detect.Config{
-		Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20,
-		Workers: 3, WorkerChunk: 4,
-	}).Run(p.Run)
-	if serial.Err != nil || par.Err != nil {
-		t.Fatalf("seed %d: serial err %v, parallel err %v\n%s", seed, serial.Err, par.Err, p)
-	}
-	if serial.Stats.RaceCount != par.Stats.RaceCount ||
-		len(serial.Races) != len(par.Races) {
-		t.Fatalf("seed %d: verdicts diverge: serial %d races (%d observations), parallel %d (%d)\n%s",
-			seed, len(serial.Races), serial.Stats.RaceCount,
-			len(par.Races), par.Stats.RaceCount, p)
-	}
-	for i := range serial.Races {
-		if serial.Races[i] != par.Races[i] {
-			t.Fatalf("seed %d: race %d differs: serial %v, parallel %v\n%s",
-				seed, i, serial.Races[i], par.Races[i], p)
-		}
-	}
-	ss, ps := serial.Stats.Shadow, par.Stats.Shadow
-	if ss.Reads != ps.Reads || ss.Writes != ps.Writes ||
-		ss.OwnedSkips != ps.OwnedSkips || ss.ReadSharedSkips != ps.ReadSharedSkips ||
-		ss.ReaderAppends != ps.ReaderAppends ||
-		ss.ReaderFlushes != ps.ReaderFlushes {
-		t.Fatalf("seed %d: shadow counters diverge\nserial %+v\npar    %+v\n%s", seed, ss, ps, p)
-	}
-}
-
 // workersOne asserts pipeline equivalence on one generated program: the
-// Workers ∈ {1,4} engines (range fan-out plus the asynchronous back-end)
-// must reproduce the serial engine's report exactly — same races in the
-// same order, same protocol counters, same memo and fast-path hits, same
-// reachability traffic, same batch count. A final config forces the
-// intra-range fan-out with a tiny WorkerChunk and compares the verdict
-// counters (per-chunk memos legitimately change memo/query plumbing,
-// exactly as in parallelOne).
+// Workers ∈ {1,4} engines (inline, then the asynchronous back-end) must
+// reproduce the serial engine's report exactly — same races in the same
+// order, same protocol counters, same memo, page-cache and fast-path
+// hits, same reachability traffic, same batch count.
 func workersOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 	t.Helper()
 	p := Generate(seed, opts)
@@ -88,49 +45,30 @@ func workersOne(t *testing.T, seed uint64, opts Options, mode detect.Mode) {
 	if serial.Err != nil {
 		t.Fatalf("seed %d: serial err %v\n%s", seed, serial.Err, p)
 	}
-	check := func(cfg detect.Config, full bool) {
-		rep := detect.NewEngine(cfg).Run(p.Run)
+	for _, workers := range []int{1, 4} {
+		rep := detect.NewEngine(detect.Config{
+			Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20, Workers: workers,
+		}).Run(p.Run)
 		if rep.Err != nil {
-			t.Fatalf("seed %d [w=%d]: %v\n%s", seed, cfg.Workers, rep.Err, p)
+			t.Fatalf("seed %d [w=%d]: %v\n%s", seed, workers, rep.Err, p)
 		}
 		if len(serial.Races) != len(rep.Races) {
 			t.Fatalf("seed %d [w=%d]: %d races vs serial %d\n%s",
-				seed, cfg.Workers, len(rep.Races), len(serial.Races), p)
+				seed, workers, len(rep.Races), len(serial.Races), p)
 		}
 		for i := range serial.Races {
 			if serial.Races[i] != rep.Races[i] {
 				t.Fatalf("seed %d [w=%d]: race %d differs: %v vs %v\n%s",
-					seed, cfg.Workers, i, serial.Races[i], rep.Races[i], p)
+					seed, workers, i, serial.Races[i], rep.Races[i], p)
 			}
 		}
 		ss, cs := serial.Stats, rep.Stats
-		if !full {
-			sh, ch := ss.Shadow, cs.Shadow
-			if ss.RaceCount != cs.RaceCount || sh.Reads != ch.Reads || sh.Writes != ch.Writes ||
-				sh.OwnedSkips != ch.OwnedSkips || sh.ReadSharedSkips != ch.ReadSharedSkips ||
-				sh.ReaderAppends != ch.ReaderAppends || sh.ReaderFlushes != ch.ReaderFlushes {
-				t.Fatalf("seed %d [w=%d chunked]: verdict counters diverge\nserial %+v\ngot    %+v\n%s",
-					seed, cfg.Workers, sh, ch, p)
-			}
-			return
-		}
-		ss.Shadow.ParRanges, ss.Shadow.ParChunks, ss.Shadow.PageCacheHits = 0, 0, 0
-		cs.Shadow.ParRanges, cs.Shadow.ParChunks, cs.Shadow.PageCacheHits = 0, 0, 0
 		if ss.RaceCount != cs.RaceCount || ss.Shadow != cs.Shadow ||
 			ss.Reach != cs.Reach || ss.Event != cs.Event {
 			t.Fatalf("seed %d [w=%d]: stats diverge\nserial %+v\ngot    %+v\n%s",
-				seed, cfg.Workers, ss, cs, p)
+				seed, workers, ss, cs, p)
 		}
 	}
-	for _, workers := range []int{1, 4} {
-		check(detect.Config{
-			Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20, Workers: workers,
-		}, true)
-	}
-	check(detect.Config{
-		Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20,
-		Workers: 3, WorkerChunk: 4,
-	}, false)
 }
 
 // epochOne is the cross-generation read-epoch differential on one
@@ -255,7 +193,7 @@ func replayOne(t *testing.T, seed uint64, opts Options) {
 		for _, workers := range []int{1, 4} {
 			cfg := detect.Config{
 				Mode: mode, Mem: detect.MemFull,
-				Workers: workers, WorkerChunk: 4, MaxRaces: 1 << 20,
+				Workers: workers, MaxRaces: 1 << 20,
 			}
 			direct := detect.NewEngine(cfg).Run(p.Run)
 			replayed, err := trace.ReplayBytes(raw, cfg)
@@ -308,7 +246,6 @@ func FuzzGeneralPrograms(f *testing.F) {
 		fuzzOne(t, seed, opts, detect.ModeMultiBagsPlus)
 		fuzzOne(t, seed, opts, detect.ModeVectorClocks)
 		vcOne(t, seed, opts)
-		parallelOne(t, seed, opts, detect.ModeMultiBagsPlus)
 		workersOne(t, seed, opts, detect.ModeMultiBagsPlus)
 		workersOne(t, seed, opts, detect.ModeVectorClocks)
 		spread := opts
@@ -328,7 +265,6 @@ func FuzzStructuredPrograms(f *testing.F) {
 		fuzzOne(t, seed, opts, detect.ModeMultiBags)
 		fuzzOne(t, seed, opts, detect.ModeMultiBagsPlus)
 		fuzzOne(t, seed, opts, detect.ModeVectorClocks)
-		parallelOne(t, seed, opts, detect.ModeMultiBags)
 		workersOne(t, seed, opts, detect.ModeMultiBags)
 		spread := opts
 		spread.PageSpread = true
@@ -356,7 +292,7 @@ func FuzzReadSharedPrograms(f *testing.F) {
 		fuzzOne(t, seed, gen, detect.ModeVectorClocks)
 		fuzzOne(t, seed, str, detect.ModeMultiBags)
 		vcOne(t, seed, gen)
-		parallelOne(t, seed, gen, detect.ModeMultiBagsPlus)
+		workersOne(t, seed, gen, detect.ModeMultiBagsPlus)
 		replayOne(t, seed, gen)
 		// Cross-generation arm: construct-dense read-heavy programs bump
 		// the generation every few statements, so stamped read verdicts
@@ -377,13 +313,15 @@ func FuzzReadSharedPrograms(f *testing.F) {
 	})
 }
 
-// TestParallelMatchesSerialSeeds sweeps the parallel differential over a
-// seed range so plain `go test` (and `go test -race`) covers many
-// programs without the fuzzer.
+// TestParallelMatchesSerialSeeds sweeps the Workers differential
+// (workersOne) over a seed range for the two algorithms
+// TestWorkersMatchSerialSeeds leaves out: SP-Bags on pure fork-join
+// programs and vc on general ones, so plain `go test` (and
+// `go test -race`) covers all four without the fuzzer.
 func TestParallelMatchesSerialSeeds(t *testing.T) {
-	for seed := uint64(0); seed < 40; seed++ {
-		parallelOne(t, seed, Options{Dialect: General, MaxStmts: 60}, detect.ModeMultiBagsPlus)
-		parallelOne(t, seed, Options{Dialect: Structured, MaxStmts: 60}, detect.ModeMultiBags)
+	for seed := uint64(0); seed < 25; seed++ {
+		workersOne(t, seed, Options{Dialect: PureSP, MaxStmts: 60}, detect.ModeSPBags)
+		workersOne(t, seed, Options{Dialect: General, MaxStmts: 60}, detect.ModeVectorClocks)
 	}
 }
 
@@ -416,7 +354,7 @@ func TestReadSharedHeavySeeds(t *testing.T) {
 	var skips uint64
 	for seed := uint64(0); seed < 30; seed++ {
 		fuzzOne(t, seed, opts, detect.ModeMultiBagsPlus)
-		parallelOne(t, seed, opts, detect.ModeMultiBagsPlus)
+		workersOne(t, seed, opts, detect.ModeMultiBagsPlus)
 		p := Generate(seed, opts)
 		rep := detect.NewEngine(detect.Config{
 			Mode: detect.ModeMultiBagsPlus, Mem: detect.MemFull, MaxRaces: 1 << 20,

@@ -102,8 +102,8 @@ type Options struct {
 	// ranges, with writes rare enough that reader lists survive across
 	// construct windows. This is the traffic shape of the shadow layer's
 	// read-shared epoch fast path, so differential arms with ReadHeavy
-	// pin that path (serial, worker-pool, and replay alike) against the
-	// reference protocol and the oracle.
+	// pin that path (serial, asynchronous back-end, and replay alike)
+	// against the reference protocol and the oracle.
 	ReadHeavy bool
 
 	// ConstructDense doubles the spawn and sync weight of the statement
@@ -221,8 +221,7 @@ func (g *generator) genBlockExp(depth int, isRoot bool) (*Block, []int) {
 
 func (g *generator) genStmt(depth int, fr *frame) Stmt {
 	// accessLen picks the width of a read/write: mostly single words, with
-	// a tail of bulk ranges so the engine's range paths (and, in the
-	// parallel differential tests, the worker fan-out) see real traffic.
+	// a tail of bulk ranges so the engine's range paths see real traffic.
 	// Ranges deliberately overlap the single-word locations. Read-heavy
 	// programs flip the bias: mostly bulk ranges, so the same few
 	// locations are re-read over and over.

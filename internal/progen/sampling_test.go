@@ -1,6 +1,7 @@
 package progen
 
 import (
+	"reflect"
 	"testing"
 
 	"futurerd/internal/detect"
@@ -17,10 +18,10 @@ import (
 //     never a superset: unsampled accesses still install their shadow
 //     state, so sampling misses races but cannot invent them. With an
 //     unlimited budget the admitted set is a pure hash of
-//     (seed, addr, generation), so the sampled report is additionally
-//     identical across every Workers configuration; a
-//     finite budget lets the schedule pick which accesses win a page's
-//     coupons, so the budget arm checks only the subset property.
+//     (seed, addr, generation); a finite budget's coupons are consumed
+//     in seal order by the goroutine that owns the shadow history. So
+//     the sampled report is additionally identical across every Workers
+//     configuration, budgeted or not.
 
 // racyAddrs collects the distinct racy addresses of a report. Races are
 // deduplicated per address, so the address set is the right granularity
@@ -140,9 +141,9 @@ func samplingSubsetOne(t *testing.T, seed uint64, opts Options, mode detect.Mode
 		}
 	}
 
-	// Budget arm: a one-coupon page budget under a concurrent pipeline
-	// may sample different accesses per schedule, so only the subset
-	// property holds.
+	// Budget arm: a one-coupon page budget keeps the subset property, and
+	// the asynchronous back-end spends the coupons in the serial order.
+	var budgetRef *detect.Report
 	for _, workers := range []int{1, 4} {
 		rep := detect.NewEngine(detect.Config{
 			Mode: mode, Mem: detect.MemFull, MaxRaces: 1 << 20,
@@ -157,6 +158,14 @@ func samplingSubsetOne(t *testing.T, seed uint64, opts Options, mode detect.Mode
 				t.Fatalf("seed %d [budget w=%d]: false positive at %d\n%s",
 					seed, workers, a, p)
 			}
+		}
+		if budgetRef == nil {
+			budgetRef = rep
+			continue
+		}
+		if !reflect.DeepEqual(budgetRef.Races, rep.Races) || budgetRef.Stats.Shadow != rep.Stats.Shadow {
+			t.Fatalf("seed %d [budget w=%d]: diverges from Workers 1\nw=1 %+v\nw=%d %+v\n%s",
+				seed, workers, budgetRef.Stats.Shadow, workers, rep.Stats.Shadow, p)
 		}
 	}
 	return len(fullAddrs), missed

@@ -7,22 +7,13 @@ import (
 	"futurerd/internal/core"
 )
 
-// rangeOps runs a test body against the serial range path and against the
-// worker-pool path (8-word chunks, so every range of ≥ 16 words fans out).
+// rangeOps runs a test body against the range path (ReadRange and
+// WriteRange) as the "serial" subtest.
 func rangeOps(t *testing.T, body func(t *testing.T, read, write func(h *History, addr uint64, n int, s core.StrandID, ctx *Ctx))) {
 	t.Run("serial", func(t *testing.T) {
 		body(t,
 			func(h *History, addr uint64, n int, s core.StrandID, ctx *Ctx) { h.ReadRange(addr, n, s, ctx) },
 			func(h *History, addr uint64, n int, s core.StrandID, ctx *Ctx) { h.WriteRange(addr, n, s, ctx) })
-	})
-	t.Run("pool", func(t *testing.T) {
-		pool := NewPool(3, 8)
-		defer pool.Close()
-		body(t,
-			func(h *History, addr uint64, n int, s core.StrandID, ctx *Ctx) { h.ReadRangePar(addr, n, s, ctx, pool) },
-			func(h *History, addr uint64, n int, s core.StrandID, ctx *Ctx) {
-				h.WriteRangePar(addr, n, s, ctx, pool)
-			})
 	})
 }
 

@@ -1,7 +1,6 @@
 package shadow
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"futurerd/internal/core"
@@ -11,17 +10,15 @@ import (
 // an algorithm with the EpochConcurrent capability. The epoch function is
 // deliberately independent of rel so tests can probe the shadow layer's
 // contract in isolation: the layer must trust a true answer (skip the
-// writer query) and fall back to the full protocol on false. The call
-// counter is atomic because EpochOrdered runs concurrently on the
-// worker-pool path — the same regime as QueryConcurrent.
+// writer query) and fall back to the full protocol on false.
 type epochReach struct {
 	relReach
 	epoch      func(r, s core.StrandID) bool
-	epochCalls atomic.Int64
+	epochCalls int64
 }
 
 func (e *epochReach) EpochOrdered(r, s core.StrandID) bool {
-	e.epochCalls.Add(1)
+	e.epochCalls++
 	return e.epoch(r, s)
 }
 
@@ -52,16 +49,16 @@ func TestEpochTransferSkipsWriterQuery(t *testing.T) {
 	h.WriteRange(1, n, 1, ctx)
 	ctx.Gen = 2
 	h.ReadRange(1, n, 5, ctx) // proves writer 1 ≺ 5, stamps 5
-	q1 := er.queries.Load()
+	q1 := er.queries
 	ctx.Gen = 3
 	h.ReadRange(1, n, 9, ctx) // stamp transfer: 5's verdict serves 9
-	if q := er.queries.Load(); q != q1 {
+	if q := er.queries; q != q1 {
 		t.Fatalf("epoch-transferred read made %d writer queries, want 0", q-q1)
 	}
 	if got := h.Stats().EpochHits; got != n {
 		t.Fatalf("EpochHits = %d, want %d", got, n)
 	}
-	if n := er.epochCalls.Load(); n != 1 {
+	if n := er.epochCalls; n != 1 {
 		t.Fatalf("EpochOrdered called %d times, want 1 (memoized per stamp holder)", n)
 	}
 	if len(races) != 0 {
@@ -86,10 +83,10 @@ func TestEpochTransferFallsBack(t *testing.T) {
 	h.WriteRange(1, n, 1, ctx)
 	ctx.Gen = 2
 	h.ReadRange(1, n, 5, ctx)
-	q1 := er.queries.Load()
+	q1 := er.queries
 	ctx.Gen = 3
 	h.ReadRange(1, n, 9, ctx) // no transfer: full protocol
-	if q := er.queries.Load(); q == q1 {
+	if q := er.queries; q == q1 {
 		t.Fatal("reader 9 made no writer queries despite EpochOrdered == false")
 	}
 	if got := h.Stats().EpochHits; got != 0 {
@@ -119,37 +116,6 @@ func TestEpochTransferNeverMasksRace(t *testing.T) {
 	if len(races) != 8 {
 		t.Fatalf("re-read after install reported %d races, want 8 (stale stamp transferred)",
 			len(races))
-	}
-}
-
-// TestEpochTransferParallelPath: the worker-pool mirror of the transfer
-// skip, including the per-chunk EpochOrdered memo.
-func TestEpochTransferParallelPath(t *testing.T) {
-	const n = 4096 * 3
-	h := NewHistory()
-	var races []raceEvent
-	ctx, er := epochCtxFor(seqRel(1), func(r, s core.StrandID) bool {
-		return r == 5 && s == 9
-	}, &races)
-	pool := NewPool(4, 512)
-	defer pool.Close()
-	h.WriteRange(1, n, 1, ctx)
-	ctx.Gen = 2
-	h.ReadRangePar(1, n, 5, ctx, pool)
-	q1 := er.queries.Load()
-	ctx.Gen = 3
-	h.ReadRangePar(1, n, 9, ctx, pool)
-	if q := er.queries.Load(); q != q1 {
-		t.Fatalf("parallel epoch-transferred read made %d writer queries, want 0", q-q1)
-	}
-	if got := h.Stats().EpochHits; got != n {
-		t.Fatalf("EpochHits = %d, want %d", got, n)
-	}
-	if h.Stats().ParRanges == 0 {
-		t.Fatal("pool never engaged")
-	}
-	if len(races) != 0 {
-		t.Fatalf("transferred reads raced: %v", races[0])
 	}
 }
 
@@ -201,10 +167,10 @@ func TestEpochNilCapability(t *testing.T) {
 	h.WriteRange(1, n, 1, ctx)
 	ctx.Gen = 2
 	h.ReadRange(1, n, 5, ctx)
-	q1 := ctx.Reach.(*relReach).queries.Load()
+	q1 := ctx.Reach.(*relReach).queries
 	ctx.Gen = 3
 	h.ReadRange(1, n, 9, ctx)
-	if q := ctx.Reach.(*relReach).queries.Load(); q == q1 {
+	if q := ctx.Reach.(*relReach).queries; q == q1 {
 		t.Fatal("nil Epoch capability still skipped the writer query")
 	}
 	if got := h.Stats().EpochHits; got != 0 {

@@ -8,8 +8,7 @@ import (
 
 // These tests pin the read-epoch fast path: a strand re-reading words it
 // already read race-free must skip the reachability layer entirely — in
-// any construct generation — on the serial and the worker-pool paths
-// alike, without changing a single verdict.
+// any construct generation — without changing a single verdict.
 
 // writeInterleaved installs an alternating last-writer pattern (strands
 // w1/w2 in blocks of blk words) over [1, 1+n) so a later reader cannot be
@@ -42,50 +41,19 @@ func TestReadSharedRepeatZeroQueries(t *testing.T) {
 	ctx.Gen = 7 // a fresh generation for the reader
 	reader := core.StrandID(9)
 	h.ReadRange(1, n, reader, ctx)
-	firstQ := ctx.Reach.(*relReach).queries.Load()
+	firstQ := ctx.Reach.(*relReach).queries
 	if firstQ == 0 {
 		t.Fatal("first pass made no queries; the interleaved pattern is broken")
 	}
 	for p := 1; p < passes; p++ {
 		h.ReadRange(1, n, reader, ctx)
 	}
-	if q := ctx.Reach.(*relReach).queries.Load(); q != firstQ {
+	if q := ctx.Reach.(*relReach).queries; q != firstQ {
 		t.Fatalf("re-reads at a fixed generation made %d extra reachability queries, want 0",
 			q-firstQ)
 	}
 	if got, want := h.Stats().ReadSharedSkips, uint64((passes-1)*n); got != want {
 		t.Fatalf("ReadSharedSkips = %d, want %d", got, want)
-	}
-	if len(races) != 0 {
-		t.Fatalf("race-free re-reads raced: %v", races[0])
-	}
-}
-
-// TestReadSharedRepeatZeroQueriesParallel is the worker-pool mirror: the
-// fan-out path must skip stamped words exactly like the serial path.
-func TestReadSharedRepeatZeroQueriesParallel(t *testing.T) {
-	const n, blk, passes = 4096 * 3, 64, 4
-	h := NewHistory()
-	var races []raceEvent
-	ctx := ctxFor(seqRel(1, 2), &races)
-	pool := NewPool(4, 512)
-	defer pool.Close()
-	writeInterleaved(h, ctx, n, blk, 1, 2)
-	ctx.Gen = 3
-	reader := core.StrandID(9)
-	h.ReadRangePar(1, n, reader, ctx, pool)
-	firstQ := ctx.Reach.(*relReach).queries.Load()
-	for p := 1; p < passes; p++ {
-		h.ReadRangePar(1, n, reader, ctx, pool)
-	}
-	if q := ctx.Reach.(*relReach).queries.Load(); q != firstQ {
-		t.Fatalf("parallel re-reads made %d extra reachability queries, want 0", q-firstQ)
-	}
-	if got, want := h.Stats().ReadSharedSkips, uint64((passes-1)*n); got != want {
-		t.Fatalf("ReadSharedSkips = %d, want %d", got, want)
-	}
-	if h.Stats().ParRanges == 0 {
-		t.Fatal("pool never engaged")
 	}
 	if len(races) != 0 {
 		t.Fatalf("race-free re-reads raced: %v", races[0])
@@ -104,9 +72,9 @@ func TestReadSharedStampDiesWithWrite(t *testing.T) {
 	h.WriteRange(1, 8, 1, ctx)
 	ctx.Gen = 5
 	h.ReadRange(1, 8, 9, ctx) // stamps (9, gen 5)
-	q1 := ctx.Reach.(*relReach).queries.Load()
+	q1 := ctx.Reach.(*relReach).queries
 	h.ReadRange(1, 8, 9, ctx) // skips
-	if q := ctx.Reach.(*relReach).queries.Load(); q != q1 {
+	if q := ctx.Reach.(*relReach).queries; q != q1 {
 		t.Fatalf("stamped re-read queried (%d extra)", q-q1)
 	}
 	// Writer 10 is parallel with reader 9: every word races, and the
@@ -136,10 +104,10 @@ func TestReadSharedStampPerStrand(t *testing.T) {
 	h.WriteRange(1, 16, 1, ctx)
 	ctx.Gen = 2
 	h.ReadRange(1, 16, 2, ctx)
-	q1 := ctx.Reach.(*relReach).queries.Load()
+	q1 := ctx.Reach.(*relReach).queries
 	ctx.Gen = 3
 	h.ReadRange(1, 16, 3, ctx) // different strand: must query again
-	if q := ctx.Reach.(*relReach).queries.Load(); q == q1 {
+	if q := ctx.Reach.(*relReach).queries; q == q1 {
 		t.Fatal("second strand's read was served by the first strand's stamp")
 	}
 	sk1 := h.Stats().ReadSharedSkips
@@ -164,11 +132,11 @@ func TestReadSharedStampSurvivesGenerations(t *testing.T) {
 	h.WriteRange(1, 32, 1, ctx)
 	ctx.Gen = 4
 	h.ReadRange(1, 32, 5, ctx)
-	q1 := ctx.Reach.(*relReach).queries.Load()
+	q1 := ctx.Reach.(*relReach).queries
 	sk := h.Stats().ReadSharedSkips
 	ctx.Gen = 6
 	h.ReadRange(1, 32, 5, ctx) // later generation: the stamp still serves
-	if q := ctx.Reach.(*relReach).queries.Load(); q != q1 {
+	if q := ctx.Reach.(*relReach).queries; q != q1 {
 		t.Fatalf("cross-generation re-read made %d extra queries, want 0", q-q1)
 	}
 	if got := h.Stats().ReadSharedSkips; got != sk+32 {

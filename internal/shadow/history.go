@@ -69,19 +69,11 @@
 // below) does, with the same racing strand — see the differential fuzz
 // test FuzzRangeMatchesReference.
 //
-// # Parallel ranges
-//
-// Large bulk accesses can additionally fan out across a persistent worker
-// pool (parallel.go): the reachability relation is immutable between
-// parallel constructs, so the per-word Precedes queries of one range are
-// read-only and chunks of the range can run concurrently. The fan-out is
-// verdict-preserving too, down to the order of reported events; the same
-// fuzz test drives it.
+// A History is owned by one goroutine at a time: the engine's, or the
+// asynchronous detection back-end's, which checks batches in seal order.
 package shadow
 
 import (
-	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"futurerd/internal/core"
@@ -147,35 +139,20 @@ const spillFlag core.StrandID = 1 << 31
 // page is one densely allocated run of shadow words plus the page-level
 // sampling coupon (a packed generation-tag + remaining-budget word, see
 // sampler.go). The struct stays pointer-free, so pages still allocate in
-// noscan spans. The coupon is atomic because workers of one fan-out may
-// share a page (never a word); the serial path pays an uncontended CAS
-// only on sampled accesses under a finite budget.
+// noscan spans.
 type page struct {
 	w      [pageSize]word
-	coupon atomic.Uint64
+	coupon uint64
 }
 
-// directory is one node of the flat page table's second level. Entries are
-// atomic pointers so the parallel range path can materialize pages while
-// sibling workers read neighboring entries; on the serial path an atomic
-// load costs the same as a plain one.
-type directory [dirSize]atomic.Pointer[page]
-
-// pageStripes is the number of stripe locks guarding concurrent page
-// materialization on the parallel range path. Stripes are selected by page
-// number, so two workers only contend when their pages collide mod the
-// stripe count — and then only on each page's first touch.
-const pageStripes = 64
+// directory is one node of the flat page table's second level.
+type directory [dirSize]*page
 
 // History is the access history for one detection run.
 type History struct {
-	// dirs is the flat table root, indexed by pageNumber >> dirBits. It is
-	// published through an atomic pointer and grown copy-on-write (growth
-	// is rare: once per dirSize pages): the serial path is the only writer
-	// outside a fan-out, and the parallel range path grows it under dirMu
-	// so workers can read the root lock-free mid-materialization.
-	dirs  atomic.Pointer[[]*directory]
-	dirMu sync.Mutex
+	// dirs is the flat table root, indexed by pageNumber >> dirBits and
+	// grown densely on demand (growth is rare: once per dirSize pages).
+	dirs []*directory
 
 	overflow map[uint64]*page // pages beyond maxDirs directories
 
@@ -186,14 +163,6 @@ type History struct {
 	// inflates next and a hot read-shared vector does not reallocate.
 	arena [][]core.StrandID
 	free  []uint32
-
-	// spillMu guards arena and free on the parallel range path; the
-	// serial path uses them directly (the worker pool is quiescent then).
-	spillMu sync.Mutex
-
-	// stripes guards page materialization on the parallel range path,
-	// selected by page number (see pageForShared).
-	stripes [pageStripes]sync.Mutex
 
 	// Last-page cache: valid whenever lastPage != nil.
 	lastPN   uint64
@@ -215,10 +184,7 @@ type History struct {
 	epochSrc core.StrandID
 	epochOK  bool
 
-	// Counters for the benchmark harness. touchedPages is incremented
-	// atomically on the parallel path (workers materialize their own
-	// pages); everything else is either serial or aggregated from
-	// worker-local counters after each fan-out.
+	// Counters for the benchmark harness.
 	reads, writes   uint64
 	readerAppends   uint64
 	readerFlushes   uint64
@@ -230,8 +196,6 @@ type History struct {
 	epochHits       uint64 // reads resolved by stamp verdict transfer
 	epochInflations uint64 // single-reader → inflated (arena slot taken) transitions
 	epochDeflations uint64 // inflated → flushed (write install) transitions
-	parRanges       uint64 // range ops that actually fanned out
-	parChunks       uint64 // chunks processed across all fan-outs
 	sampledAccesses uint64 // slow-path accesses admitted by the sampler
 	budgetSkips     uint64 // rate-admitted accesses denied a page coupon
 	touched         uint64 // Touch checksum; keeps the instr config honest
@@ -247,12 +211,7 @@ type History struct {
 }
 
 // NewHistory returns an empty access history.
-func NewHistory() *History {
-	h := &History{}
-	root := []*directory(nil)
-	h.dirs.Store(&root)
-	return h
-}
+func NewHistory() *History { return &History{} }
 
 // SetFaults arms fault injection on the history (nil disarms — the
 // default; every probe is then one nil check). Call before any access.
@@ -269,31 +228,9 @@ func (h *History) maybeFailPage() {
 	}
 }
 
-// growDirs returns a root slab whose entry di exists and is non-nil,
-// growing and republishing copy-on-write if needed. Single-writer (serial
-// path) or dirMu-holder (shared path) only.
-func (h *History) growDirs(di uint64) []*directory {
-	slab := *h.dirs.Load()
-	if di < uint64(len(slab)) && slab[di] != nil {
-		return slab
-	}
-	n := uint64(len(slab))
-	if di >= n {
-		n = di + 1
-	}
-	ns := make([]*directory, n)
-	copy(ns, slab)
-	if ns[di] == nil {
-		ns[di] = new(directory)
-	}
-	h.dirs.Store(&ns)
-	return ns
-}
-
 // pageFor returns the page holding page number pn, materializing it on
 // first touch. The last resolved page is cached; sequential scans hit the
-// cache for all but the first word of each page. Serial path only; the
-// workers of a fan-out go through pageForShared.
+// cache for all but the first word of each page.
 func (h *History) pageFor(pn uint64) *page {
 	if h.lastPage != nil && h.lastPN == pn {
 		h.pageCacheHits++
@@ -301,16 +238,19 @@ func (h *History) pageFor(pn uint64) *page {
 	}
 	var p *page
 	if di := pn >> dirBits; di < maxDirs {
-		slab := *h.dirs.Load()
-		if di >= uint64(len(slab)) || slab[di] == nil {
-			slab = h.growDirs(di)
+		if di >= uint64(len(h.dirs)) {
+			h.dirs = append(h.dirs, make([]*directory, di+1-uint64(len(h.dirs)))...)
 		}
-		d := slab[di]
-		p = d[pn&dirMask].Load()
+		d := h.dirs[di]
+		if d == nil {
+			d = new(directory)
+			h.dirs[di] = d
+		}
+		p = d[pn&dirMask]
 		if p == nil {
 			h.maybeFailPage()
 			p = new(page)
-			d[pn&dirMask].Store(p)
+			d[pn&dirMask] = p
 			h.touchedPages++
 		}
 	} else {
@@ -334,9 +274,8 @@ func (h *History) pageFor(pn uint64) *page {
 // memo. The engine calls it at every batch boundary so the synchronous
 // and asynchronous pipelines answer the same queries from the same
 // caches: a batch always starts with cold memos, whichever goroutine
-// checks it. (The last-page cache is deliberately kept:
-// page-cache hits are a plumbing counter, excluded from
-// cross-configuration equivalence.)
+// checks it. (The last-page cache is deliberately kept: both pipelines
+// resolve the same pages in the same order, so its hits match too.)
 func (h *History) ResetBatchCaches() {
 	h.memoCur = core.NoStrand
 	h.epochCur = core.NoStrand
@@ -426,8 +365,7 @@ func (h *History) appendSpill(w *word, s core.StrandID) {
 // the most recent reader deduplicate repeats, exactly as the inline slot
 // and the previous tail did before inflation, bounding growth by the
 // number of reader alternations. It reports whether s was appended and
-// whether w inflated; the caller owns the counters (and, on the shared
-// paths, holds spillMu).
+// whether w inflated; the caller owns the counters.
 func (h *History) spillReader(w *word, s core.StrandID) (appended, inflated bool) {
 	if w.reader0&spillFlag != 0 {
 		slot := w.reader0 &^ spillFlag
@@ -453,7 +391,7 @@ func (h *History) spillReader(w *word, s core.StrandID) (appended, inflated bool
 
 // deflate releases the arena slot of an inflated word: the slot keeps its
 // capacity and goes on the free list for the next inflation. The caller
-// clears reader0 (and, on the shared paths, holds spillMu).
+// clears reader0.
 func (h *History) deflate(w *word) {
 	slot := uint32(w.reader0 &^ spillFlag)
 	h.arena[slot] = h.arena[slot][:0]
@@ -519,8 +457,7 @@ func (h *History) Write(addr uint64, s core.StrandID, precedes func(u core.Stran
 
 // readers returns w's reader list in check order: the first reader (the
 // inline one, NoStrand if none) and the spilled readers after it, read
-// straight from the arena slot of an inflated word. The shared paths call
-// it under spillMu, which orders the read against arena growth.
+// straight from the arena slot of an inflated word.
 func (h *History) readers(w *word) (first core.StrandID, more []core.StrandID) {
 	if w.reader0&spillFlag == 0 {
 		return w.reader0, nil
@@ -833,10 +770,6 @@ type Stats struct {
 	// inflated words beyond the first — at the time Stats was taken: the
 	// live footprint of inflated words, not the arena's capacity.
 	SpillEntries uint64
-	// ParRanges counts range operations that fanned out across the worker
-	// pool; ParChunks counts the chunks processed across all fan-outs.
-	ParRanges uint64
-	ParChunks uint64
 	// SampledAccesses counts slow-path accesses the tier-1 sampler
 	// admitted to the full protocol; SkippedByBudget counts rate-admitted
 	// accesses denied by an exhausted per-page coupon budget. Both are
@@ -848,7 +781,7 @@ type Stats struct {
 }
 
 // Stats returns the history's counters. Called on a quiescent history
-// (after the run, or between accesses), so the arena walk needs no lock.
+// (after the run, or between accesses).
 func (h *History) Stats() Stats {
 	var spillEntries uint64
 	for _, rs := range h.arena {
@@ -869,8 +802,6 @@ func (h *History) Stats() Stats {
 		EpochInflations: h.epochInflations,
 		EpochDeflations: h.epochDeflations,
 		SpillEntries:    spillEntries,
-		ParRanges:       h.parRanges,
-		ParChunks:       h.parChunks,
 		SampledAccesses: h.sampledAccesses,
 		SkippedByBudget: h.budgetSkips,
 	}

@@ -3,7 +3,6 @@ package shadow
 import (
 	"fmt"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"futurerd/internal/core"
@@ -11,11 +10,10 @@ import (
 
 // relReach is a core.Reach stub whose Precedes answers come from an
 // arbitrary deterministic relation. Only Precedes matters to the shadow
-// layer; the construct methods are no-ops. The query counter is atomic so
-// the stub can serve the parallel range path too.
+// layer; the construct methods are no-ops.
 type relReach struct {
 	rel     func(u, v core.StrandID) bool
-	queries atomic.Uint64
+	queries uint64
 }
 
 func (r *relReach) Init(core.FnID, core.StrandID) {}
@@ -28,7 +26,7 @@ func (r *relReach) Name() string                  { return "rel" }
 func (r *relReach) Stats() core.ReachStats        { return core.ReachStats{} }
 
 func (r *relReach) Precedes(u, v core.StrandID) bool {
-	r.queries.Add(1)
+	r.queries++
 	return r.rel(u, v)
 }
 
@@ -138,7 +136,7 @@ func TestOwnedRewriteSkipsProtocol(t *testing.T) {
 	if st.OwnedSkips != first+2*n {
 		t.Fatalf("OwnedSkips = %d, want %d", st.OwnedSkips, first+2*n)
 	}
-	if q := ctx.Reach.(*relReach).queries.Load(); q != 0 {
+	if q := ctx.Reach.(*relReach).queries; q != 0 {
 		t.Fatalf("owned rewrites made %d reachability queries, want 0", q)
 	}
 	if len(races) != 0 {
@@ -155,7 +153,7 @@ func TestVerdictMemoAcrossRun(t *testing.T) {
 	// Strand 2 overwrites the whole run: every word has the same last
 	// writer, so one Precedes call should serve the entire range.
 	h.WriteRange(1, n, 2, ctx)
-	if q := ctx.Reach.(*relReach).queries.Load(); q != 1 {
+	if q := ctx.Reach.(*relReach).queries; q != 1 {
 		t.Fatalf("bulk overwrite made %d reachability queries, want 1 (memoized)", q)
 	}
 	if got := h.Stats().MemoHits; got != n-1 {
@@ -164,7 +162,7 @@ func TestVerdictMemoAcrossRun(t *testing.T) {
 	// Bumping the generation invalidates the memo.
 	ctx.Gen++
 	h.WriteRange(1, 1, 3, ctx)
-	if q := ctx.Reach.(*relReach).queries.Load(); q != 2 {
+	if q := ctx.Reach.(*relReach).queries; q != 2 {
 		t.Fatalf("query count after gen bump = %d, want 2", q)
 	}
 }
@@ -260,17 +258,9 @@ func differentialRun(t *testing.T, seed, relSeed uint64) {
 	}
 	fast := NewHistory()
 	ref := NewHistory()
-	// par is driven through the parallel range path with a tiny chunk so
-	// even these short ranges fan out across real worker goroutines; it
-	// must produce the identical event stream.
-	par := NewHistory()
-	pool := NewPool(4, 4)
-	defer pool.Close()
-	var fastRaces, refRaces, parRaces []raceEvent
+	var fastRaces, refRaces []raceEvent
 	ctx := ctxFor(rel, &fastRaces)
-	pctx := ctxFor(rel, &parRaces)
 	const strands = 6
-	wantFanout := false
 	for op := 0; op < 200; op++ {
 		s := core.StrandID(next(strands) + 1)
 		// Addresses cluster near a page boundary so ranges regularly
@@ -281,15 +271,10 @@ func differentialRun(t *testing.T, seed, relSeed uint64) {
 			words = 0 // exercise the empty-range path
 		}
 		isWrite := next(2) == 0
-		if words >= 8 { // 2 × the pool's 4-word chunk
-			wantFanout = true
-		}
 		if isWrite {
 			fast.WriteRange(addr, words, s, ctx)
-			par.WriteRangePar(addr, words, s, pctx, pool)
 		} else {
 			fast.ReadRange(addr, words, s, ctx)
-			par.ReadRangePar(addr, words, s, pctx, pool)
 		}
 		precedes := func(u core.StrandID) bool { return rel(u, s) }
 		for i := 0; i < words; i++ {
@@ -308,27 +293,14 @@ func differentialRun(t *testing.T, seed, relSeed uint64) {
 			t.Fatalf("op %d: fast path reported %d races, reference %d\nfast: %v\nref:  %v",
 				op, len(fastRaces), len(refRaces), fastRaces, refRaces)
 		}
-		if len(parRaces) != len(refRaces) {
-			t.Fatalf("op %d: parallel path reported %d races, reference %d\npar: %v\nref: %v",
-				op, len(parRaces), len(refRaces), parRaces, refRaces)
-		}
 	}
 	if !reflect.DeepEqual(fastRaces, refRaces) {
 		t.Fatalf("race streams diverged\nfast: %v\nref:  %v", fastRaces, refRaces)
 	}
-	if !reflect.DeepEqual(parRaces, refRaces) {
-		t.Fatalf("parallel race stream diverged\npar: %v\nref: %v", parRaces, refRaces)
-	}
 	// The histories must also agree on traffic the protocol defines
 	// exactly (reads/writes observed).
-	fs, rs, ps := fast.Stats(), ref.Stats(), par.Stats()
+	fs, rs := fast.Stats(), ref.Stats()
 	if fs.Reads != rs.Reads || fs.Writes != rs.Writes {
 		t.Fatalf("traffic diverged: fast %+v ref %+v", fs, rs)
-	}
-	if ps.Reads != rs.Reads || ps.Writes != rs.Writes {
-		t.Fatalf("parallel traffic diverged: par %+v ref %+v", ps, rs)
-	}
-	if wantFanout && ps.ParRanges == 0 {
-		t.Fatal("parallel path never fanned out despite fan-out-sized ranges")
 	}
 }

@@ -24,15 +24,10 @@
 // package progen tests for the rate-1.0 identity proof.
 //
 // Determinism: the rate test depends only on (seed, address, generation),
-// all of which are identical across the serial and worker-pool
-// pipelines, so with an unlimited budget the sampled access set — and
-// every verdict and counter derived from it — is identical in every
-// Workers configuration. A finite budget keeps the
-// *totals* deterministic (per page and generation, exactly
-// min(budget, rate-admitted accesses) coupons are consumed) but lets
-// scheduling decide *which* accesses win a coupon when two workers share
-// a page, so budgeted runs promise the subset property, not cross-config
-// identity.
+// and coupons are consumed in batch order by the one goroutine that owns
+// the History, so the sampled access set — and every verdict and counter
+// derived from it — is identical in every Workers configuration, with or
+// without a budget.
 package shadow
 
 // couponRemBits splits the per-page coupon word: the low bits count the
@@ -107,31 +102,23 @@ func (sm *sampler) admit(addr, gen uint64) bool {
 
 // takeCoupon consumes one admission coupon from p's budget for the given
 // generation, refreshing the budget when the page is first sampled in a
-// new generation. The CAS loop makes the consumed total exact when
-// workers of one fan-out share a page (they never share a word, but the
-// coupon word is page-level); on the serial path the CAS always succeeds
-// on the first try.
+// new generation.
 func (sm *sampler) takeCoupon(p *page, gen uint64) bool {
 	tag := ((gen + 1) & couponGenMask) << couponRemBits
-	for {
-		old := p.coupon.Load()
-		rem := old & couponRemMask
-		if old&^uint64(couponRemMask) != tag {
-			rem = sm.budget // first sample of this generation: refresh
-		}
-		if rem == 0 {
-			return false
-		}
-		if p.coupon.CompareAndSwap(old, tag|(rem-1)) {
-			return true
-		}
+	rem := p.coupon & couponRemMask
+	if p.coupon&^uint64(couponRemMask) != tag {
+		rem = sm.budget // first sample of this generation: refresh
 	}
+	if rem == 0 {
+		return false
+	}
+	p.coupon = tag | (rem - 1)
+	return true
 }
 
-// sampleSlow decides whether one protocol-bound access on the serial path
-// pays the full query cost, maintaining the serial counters. Callers
-// check h.smp.on first so a disarmed sampler costs one predictable
-// branch.
+// sampleSlow decides whether one protocol-bound access pays the full
+// query cost, maintaining the counters. Callers check h.smp.on first so
+// a disarmed sampler costs one predictable branch.
 func (h *History) sampleSlow(p *page, addr, gen uint64) bool {
 	if !h.smp.admit(addr, gen) {
 		return false
@@ -141,21 +128,5 @@ func (h *History) sampleSlow(p *page, addr, gen uint64) bool {
 		return false
 	}
 	h.sampledAccesses++
-	return true
-}
-
-// sampleSlow is the worker-local mirror for the fan-out path: the
-// admission decision is the same pure function (the generation comes
-// from the chunk's Ctx), only the counters land in the chunk's fold set.
-func (c *chunkState) sampleSlow(p *page, addr uint64) bool {
-	sm := &c.h.smp
-	if !sm.admit(addr, c.ctx.Gen) {
-		return false
-	}
-	if sm.budget != 0 && !sm.takeCoupon(p, c.ctx.Gen) {
-		c.budgetSkips++
-		return false
-	}
-	c.sampledAccesses++
 	return true
 }

@@ -1,7 +1,6 @@
 package futurerd_test
 
 import (
-	"fmt"
 	"testing"
 
 	"futurerd"
@@ -103,8 +102,7 @@ func TestEpochSurvivesConstructs(t *testing.T) {
 		for _, workers := range []int{0, 4} {
 			run := func(p int) *futurerd.Report {
 				rep := futurerd.Detect(futurerd.Config{
-					Mode: mode, Mem: futurerd.MemFull,
-					Workers: workers, WorkerChunk: 2048,
+					Mode: mode, Mem: futurerd.MemFull, Workers: workers,
 				}, prog(p))
 				if rep.Err != nil {
 					t.Fatal(rep.Err)
@@ -182,30 +180,4 @@ func BenchmarkAccessHistoryReadSharedWide(b *testing.B) {
 		appends = rep.Stats.Shadow.ReaderAppends
 	}
 	b.ReportMetric(float64(appends), "readerappends/op")
-}
-
-// BenchmarkChunkWords sweeps the parallel range chunk granule
-// (Config.WorkerChunk) over a bulk seqscan so DefaultChunkWords can be
-// picked from data; chunk=0 is the shipped default.
-func BenchmarkChunkWords(b *testing.B) {
-	const words = 1 << 20
-	arr := futurerd.NewArray[int64](words)
-	base := arr.Addr(0)
-	for _, chunk := range []int{0, 2048, 4096, 8192, 16384, 32768, 65536} {
-		b.Run(fmt.Sprintf("chunk=%d", chunk), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rep := futurerd.Detect(futurerd.Config{
-					Mode: futurerd.ModeMultiBags, Mem: futurerd.MemFull,
-					Workers: 4, WorkerChunk: chunk,
-				}, func(t *futurerd.Task) {
-					t.WriteRange(base, words)
-					t.ReadRange(base, words)
-				})
-				if rep.Racy() {
-					b.Fatal("unexpected race")
-				}
-			}
-			b.ReportMetric(float64(2*words), "words/op")
-		})
-	}
 }
