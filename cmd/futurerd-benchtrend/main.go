@@ -70,6 +70,7 @@ func counterRow(m *bench.Measurement) map[string]uint64 {
 		"reach.unions":       s.Reach.Unions,
 		"reach.attached":     s.Reach.AttachedSets,
 		"reach.rarcs":        s.Reach.RArcs,
+		"reach.rclose":       s.Reach.RCloseWords,
 		"reach.clockcmps":    s.Reach.ClockCompares,
 		"reach.clockinfl":    s.Reach.ClockInflations,
 		"reach.clockbytes":   s.Reach.ClockBytes,

@@ -119,6 +119,135 @@ func TestRdagMatchesFloyd(t *testing.T) {
 	}
 }
 
+// denseReach is the reference closure: plain reachability by DFS over the
+// arcs added so far.
+func denseReach(succ [][]int32) [][]bool {
+	n := len(succ)
+	reach := make([][]bool, n)
+	for a := range reach {
+		reach[a] = make([]bool, n)
+		stack := append([]int32(nil), succ[a]...)
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if !reach[a][v] {
+				reach[a][v] = true
+				stack = append(stack, succ[v]...)
+			}
+		}
+	}
+	return reach
+}
+
+// TestRdagChunkedMatchesDense checks the chunked closure against a dense
+// reference on random dags of more than 1,024 nodes, so rows span several
+// 512-bit chunks and share them. Nodes get a random topological position
+// when they are created and arcs follow positions, not ids: a new node
+// often gets arcs into older nodes that already have descendants, the
+// sync lines 35–36 shape that TestRdagMatchesFloyd never builds.
+func TestRdagChunkedMatchesDense(t *testing.T) {
+	for seed := uint64(0); seed < 4; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 7))
+		const n = 1500
+		var r rdag
+		var pos []float64
+		succ := make([][]int32, n)
+		arc := func(a, b int32) {
+			if pos[a] > pos[b] {
+				a, b = b, a
+			}
+			r.addArc(a, b)
+			if a != b {
+				succ[a] = append(succ[a], b)
+			}
+		}
+		for i := int32(0); i < n; i++ {
+			r.addNode()
+			p := float64(i)
+			if rng.IntN(10) == 0 {
+				p -= 0.5 + float64(rng.IntN(300)) // precedes older nodes
+			}
+			pos = append(pos, p)
+			for k := 0; k < 3 && i > 0; k++ {
+				j := i - 1 - rng.Int32N(min(i, 100))
+				if k == 0 {
+					j = i - 1
+				}
+				if rng.IntN(20) == 0 {
+					j = rng.Int32N(i) // an occasional long arc
+				}
+				arc(i, j)
+			}
+			if i == n/2 || i == n-1 {
+				want := denseReach(succ[:i+1])
+				for a := int32(0); a <= i; a++ {
+					for b := int32(0); b <= i; b++ {
+						if got := r.reaches(a, b); got != want[a][b] {
+							t.Fatalf("seed %d, %d nodes: reaches(%d,%d) = %v, want %v",
+								seed, i+1, a, b, got, want[a][b])
+						}
+					}
+				}
+			}
+		}
+		// Rows must share chunks: far fewer distinct chunks than
+		// non-zero row slots.
+		slots, live := 0, map[uint32]bool{}
+		for _, row := range r.rows {
+			for _, id := range row {
+				if id != 0 {
+					slots++
+					live[id] = true
+				}
+			}
+		}
+		if 4*len(live) >= 3*slots {
+			t.Fatalf("seed %d: %d distinct chunks in %d non-zero row slots; rows do not share chunks",
+				seed, len(live), slots)
+		}
+	}
+}
+
+// TestRdagChainClosureCompact builds a 5,000-node chain in two halves
+// and then links them, so the second link propagates into rows that are
+// already full. A dense closure would hold k²/128 words (half of a k×k bit
+// matrix); shared all-ones chunks and elided zero chunks must keep the
+// chunked closure under a fifth of that, and every pair must still answer
+// exactly.
+func TestRdagChainClosureCompact(t *testing.T) {
+	const k = 5000
+	var r rdag
+	for i := 0; i < k; i++ {
+		r.addNode()
+	}
+	// Chain order: k/2 … k-1 first, then 0 … k/2-1.
+	order := make([]int32, 0, k)
+	for i := int32(k / 2); i < k; i++ {
+		order = append(order, i)
+	}
+	for i := int32(0); i < k/2; i++ {
+		order = append(order, i)
+	}
+	for i := 1; i < k/2; i++ {
+		r.addArc(order[i-1], order[i])
+	}
+	for i := k/2 + 1; i < k; i++ {
+		r.addArc(order[i-1], order[i])
+	}
+	r.addArc(order[k/2-1], order[k/2])
+	if dense := uint64(k * k / 128); r.closureWords()*5 >= dense {
+		t.Fatalf("closure holds %d words, want < %d (a fifth of dense %d)",
+			r.closureWords(), dense/5, dense)
+	}
+	for i := 0; i < k; i += 13 {
+		for j := 0; j < k; j++ {
+			if got := r.reaches(order[i], order[j]); got != (i < j) {
+				t.Fatalf("reaches(chain[%d], chain[%d]) = %v, want %v", i, j, got, i < j)
+			}
+		}
+	}
+}
+
 func TestRdagClosureWords(t *testing.T) {
 	var r rdag
 	a := r.addNode()

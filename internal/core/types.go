@@ -153,12 +153,17 @@ type EpochConcurrent interface {
 
 // ReachStats aggregates data-structure traffic for reporting.
 type ReachStats struct {
-	Finds         uint64 // union-find Find operations
-	Unions        uint64 // union-find Union operations
-	Queries       uint64 // Precedes calls
-	AttachedSets  uint64 // attached sets created (MultiBags+ only)
-	RArcs         uint64 // arcs inserted into R (MultiBags+ only)
-	RCloseWords   uint64 // 64-bit words held by R's transitive closure
+	Finds        uint64 // union-find Find operations
+	Unions       uint64 // union-find Union operations
+	Queries      uint64 // Precedes calls
+	AttachedSets uint64 // attached sets created (MultiBags+ only)
+	RArcs        uint64 // arcs inserted into R (MultiBags+ only)
+	// RCloseWords is the size of R's transitive closure as stored, in
+	// 64-bit words: the chunk-id row slots (two 32-bit ids per word) plus
+	// eight words per chunk in the chunk slab, which keeps every chunk
+	// ever interned (the zero chunk and superseded chunks included). It
+	// is deterministic for a given program and code version.
+	RCloseWords   uint64
 	StrandsSeen   uint64
 	FunctionsSeen uint64
 

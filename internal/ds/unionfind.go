@@ -1,6 +1,5 @@
-// Package ds provides the low-level data structures shared by the race
-// detection algorithms: Tarjan's fast disjoint-set structure and growable
-// bit vectors used for the transitive closure of the attached-set DAG.
+// Package ds provides Tarjan's fast disjoint-set structure, the
+// low-level data structure shared by the race detection algorithms.
 package ds
 
 // UnionFind is a disjoint-set forest over dense uint32 element ids with
@@ -16,10 +15,10 @@ package ds
 type UnionFind struct {
 	parent []uint32
 	rank   []uint8
-	// present[i] reports whether MakeSet(i) has been called. Kept as a
-	// bitset so accidental use of an unregistered element is caught in
-	// tests rather than silently unioning garbage.
-	present BitVec
+	// Bit i of present reports whether MakeSet(i) has been called. Kept
+	// so accidental use of an unregistered element is caught in tests
+	// rather than silently unioning garbage.
+	present []uint64
 
 	sets   int
 	finds  uint64
@@ -48,23 +47,28 @@ func (u *UnionFind) grow(n int) {
 	r := make([]uint8, n)
 	copy(r, u.rank)
 	u.parent, u.rank = p, r
+	if w := (n + 63) / 64; w > len(u.present) {
+		u.present = append(u.present, make([]uint64, w-len(u.present))...)
+	}
 }
 
 // MakeSet registers x as a singleton set. Registering an existing element
 // is a no-op, so callers may use it to "ensure" an element.
 func (u *UnionFind) MakeSet(x uint32) {
 	u.grow(int(x) + 1)
-	if u.present.Has(x) {
+	if u.Contains(x) {
 		return
 	}
-	u.present.Set(x)
+	u.present[x/64] |= 1 << (x % 64)
 	u.parent[x] = x
 	u.rank[x] = 0
 	u.sets++
 }
 
 // Contains reports whether MakeSet(x) has been called.
-func (u *UnionFind) Contains(x uint32) bool { return u.present.Has(x) }
+func (u *UnionFind) Contains(x uint32) bool {
+	return int(x/64) < len(u.present) && u.present[x/64]&(1<<(x%64)) != 0
+}
 
 // Find returns the canonical representative of the set containing x,
 // compressing the path as it goes.

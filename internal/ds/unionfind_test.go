@@ -69,8 +69,11 @@ func TestUnionFindSparseIDs(t *testing.T) {
 	if !u.SameSet(7, 1000) {
 		t.Fatal("sparse ids broken")
 	}
-	if u.Contains(999) {
-		t.Fatal("Contains(999) should be false")
+	if u.Contains(999) || u.Contains(1<<20) {
+		t.Fatal("Contains reports an element never made")
+	}
+	if !u.Contains(7) || !u.Contains(1000) {
+		t.Fatal("Contains misses a made element")
 	}
 }
 

@@ -6,8 +6,7 @@
 // relation is about to mutate. Everything inside one batch therefore
 // executed under a single, immutable reachability relation and a single
 // strand, which is exactly the invariant that lets a sealed batch be
-// checked concurrently with continued program execution (and lets the
-// shadow layer fan one range out across workers).
+// checked concurrently with continued program execution.
 //
 // Appends coalesce: an access that extends the previous op of the same
 // kind contiguously is merged into it, so a word-at-a-time scan reaches
